@@ -2,8 +2,8 @@
 //!
 //! These are not the paper's figures (see `src/bin/fig3*.rs` for those);
 //! they guard the building blocks: interval map, segment-tree algebra,
-//! codec, LRU, ring, version assignment, publish window, and the embedded
-//! engine's read/write paths.
+//! codec, metadata cache, ring, version assignment, publish window, and
+//! the embedded engine's read/write paths.
 
 use blobseer_core::LocalEngine;
 use blobseer_dht::Ring;
@@ -14,7 +14,7 @@ use blobseer_proto::tree::{PageKey, PageLoc, TreeNode};
 use blobseer_proto::{BlobId, Geometry, NodeId, ProviderId, Segment, Wire, WriteId};
 use blobseer_provider::{ProviderManagerService, Strategy};
 use blobseer_simnet::ServiceCosts;
-use blobseer_util::{ClockCache, IntervalMap, LruCache};
+use blobseer_util::{ClockCache, IntervalMap};
 use blobseer_version::{PublishWindow, VersionRegistry};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -114,26 +114,6 @@ fn bench_codec(c: &mut Criterion) {
     });
     g.bench_function("decode_tree_node", |b| {
         b.iter(|| black_box(TreeNode::from_wire(&bytes).unwrap()))
-    });
-    g.finish();
-}
-
-fn bench_lru(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lru");
-    g.bench_function("hit_hot_key", |b| {
-        let mut lru = LruCache::new(1 << 16);
-        for i in 0..(1u64 << 16) {
-            lru.insert(i, i);
-        }
-        b.iter(|| black_box(lru.get(&42).copied()))
-    });
-    g.bench_function("insert_evict_cycle", |b| {
-        let mut lru = LruCache::new(1024);
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(lru.insert(i, i))
-        })
     });
     g.finish();
 }
@@ -260,7 +240,6 @@ criterion_group! {
         bench_interval_map,
         bench_tree_algebra,
         bench_codec,
-        bench_lru,
         bench_meta_cache,
         bench_provider_plan,
         bench_ring,

@@ -103,6 +103,7 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
         offset: 0,
         detail: match e {
             LogError::Io(op) => op,
+            LogError::Full => "meta log full",
             LogError::Poisoned => "meta log poisoned",
             LogError::CommitFailed => "meta log commit failed",
         },
@@ -162,6 +163,7 @@ impl MetaBackend for WalMeta {
             .collect();
         self.log
             .append_batch(&recs)
+            .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
     }
 
@@ -179,6 +181,7 @@ impl MetaBackend for WalMeta {
             .collect();
         self.log
             .append_batch(&recs)
+            .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
     }
 

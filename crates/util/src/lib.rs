@@ -9,8 +9,6 @@
 //! * [`sharded`] — a sharded concurrent hash map with short critical
 //!   sections, used where a full lock-free map is not required and no lock
 //!   is ever held across I/O.
-//! * [`lru`] — an intrusive, slab-backed LRU cache, the substrate of the
-//!   client-side metadata-tree cache (the paper's 2^20-node cache).
 //! * [`interval_map`] — a disjoint interval map over `u64` with
 //!   monotone range-assign and range-max queries; backs the version
 //!   manager's *version index* (border-link precomputation) and the GC
@@ -34,11 +32,11 @@
 //!   (serializing / version-assign / sharded / shared), plus the
 //!   serialized-control-plane ablation flag. The zero-serialization
 //!   invariant is asserted by `crates/core/tests/lock_free.rs`.
-//! * [`recordlog`] — the shared record-then-commit append-only log
-//!   engine (48-byte checksummed headers, tombstones, group-commit
-//!   markers) extracted from the provider's page log, plus
-//!   [`recordlog::RecordLog`], the plain-file variant the durable
-//!   control plane (metadata tree, version history) journals through.
+//! * [`recordlog`] — the record-then-commit append-only log engine
+//!   (48-byte checksummed headers, tombstones, group-commit markers,
+//!   generation files): [`recordlog::RecordLog`] is what the provider's
+//!   page log and the durable control plane (metadata tree, version
+//!   history) all append, replay, and rewrite through.
 //! * [`rcu`] — [`RcuCell`], wait-free reads of a rarely replaced
 //!   snapshot (retention-based reclamation); the substrate of the
 //!   provider manager's lock-free roster.
@@ -60,7 +58,6 @@ pub mod fdlimit;
 pub mod fxhash;
 pub mod interval_map;
 pub mod lockmeter;
-pub mod lru;
 pub mod pagebuf;
 pub mod rcu;
 pub mod recordlog;
@@ -73,7 +70,6 @@ pub mod testsync;
 pub use clockcache::ClockCache;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interval_map::IntervalMap;
-pub use lru::LruCache;
 pub use pagebuf::PageBuf;
 pub use rcu::RcuCell;
 pub use sharded::ShardedMap;

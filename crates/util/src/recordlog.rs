@@ -1,33 +1,37 @@
-//! The shared record-then-commit append-only log engine.
+//! The record-then-commit append-only log engine.
 //!
-//! Extracted from the provider's page log (PR 5) so the control plane —
-//! metadata tree nodes, version history — can ride the same proven
-//! format: every record is `48-byte header + payload`, the header six
-//! little-endian `u64`s (`magic, a, b, c, len, check`), and nothing is
-//! acknowledged until a **commit marker** covering it is on disk
-//! (optionally fsynced). Replay makes records visible marker by marker
-//! and stops at the first invalid or out-of-sequence record, so a torn
-//! tail can never surface un-acknowledged state.
+//! Every durable byte of the system — provider pages, metadata tree
+//! nodes, version history — goes through this one engine. Every record
+//! is `48-byte header + payload`, the header six little-endian `u64`s
+//! (`magic, a, b, c, len, check`), and nothing is acknowledged until a
+//! **commit marker** covering it is on disk (optionally fsynced). Replay
+//! makes records visible marker by marker and stops at the first invalid
+//! or out-of-sequence record, so a torn tail can never surface
+//! un-acknowledged state.
 //!
-//! Two consumers share the engine with different trade-offs:
+//! [`RecordLog`] serves its two kinds of client through one code path:
 //!
-//! * the provider's page log ([`crate::pagebuf::PageBuf`]-mapped, pages
-//!   served as slices of the mapping) uses the header/check primitives
-//!   from this module directly, keeping its own mmap-specific replay;
-//! * [`RecordLog`] below is the plain-file variant for small
-//!   control-plane records: positioned appends, group commit, replay by
-//!   reading the file once — no mapping, no capacity pre-sizing.
+//! * the control-plane journals (metadata tree, version history) use
+//!   [`RecordLog::open`]: a plain file that grows with its appends,
+//!   replayed by reading it once into [`OwnedRecord`]s;
+//! * the provider's page log uses [`RecordLog::open_raw`] with a
+//!   capacity: a sparse file pre-sized once so it can be memory-mapped
+//!   whole. It replays its own mapping in place with
+//!   [`RecordLog::replay`] — payloads come back as byte ranges, never
+//!   copied — and serves pages as slices of that mapping.
 //!
-//! Like the page log, a [`RecordLog`] lives in a directory as
-//! `<base>.g<N>.log` generation files: [`RecordLog::rewrite`] writes
-//! the next generation to a `.tmp`, fsyncs, renames, and unlinks the
-//! predecessor, so a crash at any point leaves exactly one winner.
+//! Either way a log lives in a directory as `<base>.g<N>.log` generation
+//! files. [`RecordLog::prepare`] writes the next generation to a `.tmp`,
+//! seals and fsyncs it, and [`RecordLog::install`] renames it into place
+//! and unlinks the predecessor, so a crash at any point leaves exactly
+//! one winner — which [`RecordLog::open_raw`] picks, removing the debris.
 
 use crate::rng::splitmix64;
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -117,8 +121,12 @@ pub fn write_at(file: &File, buf: &[u8], off: u64) -> std::io::Result<()> {
 /// when surfacing it (e.g. as `BlobError::Recovery`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogError {
-    /// An I/O operation failed.
+    /// An I/O operation failed. From an append this means the record
+    /// write failed and its reserved range became a tombstone.
     Io(&'static str),
+    /// A pre-sized log has no room for the records plus the commit
+    /// marker that would seal them; nothing was reserved.
+    Full,
     /// The medium failed in a way that could strand committed-but-
     /// unreplayable records; no further append may be acknowledged.
     Poisoned,
@@ -131,6 +139,7 @@ impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LogError::Io(op) => write!(f, "log I/O failed: {op}"),
+            LogError::Full => write!(f, "log capacity exhausted"),
             LogError::Poisoned => write!(f, "log poisoned by an earlier media failure"),
             LogError::CommitFailed => write!(f, "log commit marker could not be sealed"),
         }
@@ -139,8 +148,8 @@ impl fmt::Display for LogError {
 
 impl std::error::Error for LogError {}
 
-/// Tuning knobs of a [`RecordLog`] (mirrors the page log's `LogOptions`
-/// durability half).
+/// Durability knobs of a [`RecordLog`] (the provider's `LogOptions`
+/// carries the same two for its page log).
 #[derive(Debug, Clone, Copy)]
 pub struct RecordLogOptions {
     /// `fdatasync` on every commit marker: an acknowledged append
@@ -177,7 +186,27 @@ pub struct Record<'a> {
     pub payload: &'a [u8],
 }
 
-/// One committed record surfaced by replay.
+/// One committed record handed out by [`RecordLog::replay`]: its
+/// header words and where its payload lies in the replayed bytes
+/// (nothing is copied).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RecordSpan {
+    /// Record-type magic.
+    pub magic: u64,
+    /// First header word.
+    pub a: u64,
+    /// Second header word.
+    pub b: u64,
+    /// Third header word.
+    pub c: u64,
+    /// Byte offset of the record header in the log file (error context
+    /// for callers whose payload decode fails).
+    pub offset: u64,
+    /// The payload's byte range within the replayed bytes.
+    pub payload: Range<usize>,
+}
+
+/// One committed record surfaced by [`RecordLog::open`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OwnedRecord {
     /// Record-type magic.
@@ -195,8 +224,7 @@ pub struct OwnedRecord {
     pub offset: u64,
 }
 
-/// Commit bookkeeping, guarded by the log's mutex (same protocol as the
-/// page log's generation).
+/// Commit bookkeeping, guarded by the log's mutex.
 #[derive(Debug, Default)]
 struct CommitState {
     /// Every byte below this offset is sealed by a marker (the marker
@@ -216,30 +244,31 @@ struct CommitState {
     poisoned: bool,
 }
 
-/// A crash-consistent append-only record log on a plain file.
+/// A crash-consistent append-only record log: one generation file.
 ///
 /// * **Append** reserves a record range with a CAS on the tail offset
 ///   (concurrent appenders never interleave bytes), writes
-///   `header + payload` with positioned I/O, then blocks until a
-///   group-commit marker covers it: only committed records are
-///   acknowledged, and only committed records replay.
-/// * **Replay** (at [`RecordLog::open`]) reads the newest generation
-///   file once and surfaces records marker by marker; it ends at the
-///   first invalid or out-of-sequence record, and appends resume at the
-///   last durable marker.
+///   `header + payload` with positioned I/O — no lock, no user-space
+///   copy — then blocks until a group-commit marker covers it: only
+///   committed records are acknowledged, and only committed records
+///   replay.
+/// * **Replay** surfaces records marker by marker; it ends at the first
+///   invalid or out-of-sequence record, and appends resume at the last
+///   durable marker.
 /// * **Rewrite** swaps in a compacted next generation atomically
-///   (tmp → fsync → rename → unlink), the same crash story as page-log
-///   compaction.
+///   (tmp → fsync → rename → unlink).
 ///
 /// The commit mutex/condvar is durability machinery on the ack path,
-/// not a control-plane serialization point — like the page log's, it is
-/// deliberately outside the lockmeter.
+/// not a control-plane serialization point — it is deliberately
+/// outside the lockmeter.
 pub struct RecordLog {
     dir: PathBuf,
     base: String,
     number: u64,
     file: File,
     path: PathBuf,
+    /// Pre-sized file length; `None` for a file that grows.
+    capacity: Option<u64>,
     opts: RecordLogOptions,
     /// Reservation frontier: appends CAS disjoint ranges off it.
     tail: AtomicU64,
@@ -270,10 +299,55 @@ fn parse_log_name(base: &str, name: &str) -> Option<u64> {
         .ok()
 }
 
+/// Find the newest *renamed* generation of `<base>` under `dir` and
+/// remove the debris: older generations (a crash between a rewrite's
+/// rename and its unlink) and `.tmp` files (a rewrite that never
+/// reached its rename — the old generation wins).
+fn scan_generations(dir: &Path, base: &str) -> Result<u64, LogError> {
+    let mut newest: Option<u64> = None;
+    let mut debris: Vec<PathBuf> = Vec::new();
+    let entries = std::fs::read_dir(dir).map_err(|_| LogError::Io("scan log dir"))?;
+    let tmp_prefix = format!("{base}.g");
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with(&tmp_prefix) && name.ends_with(".tmp") {
+            debris.push(entry.path());
+        } else if let Some(n) = parse_log_name(base, name) {
+            match newest {
+                Some(best) if best >= n => debris.push(entry.path()),
+                Some(_) | None => {
+                    if let Some(best) = newest {
+                        debris.push(dir.join(log_file_name(base, best)));
+                    }
+                    newest = Some(n);
+                }
+            }
+        }
+    }
+    for stale in debris {
+        let _ = std::fs::remove_file(stale);
+    }
+    Ok(newest.unwrap_or(0))
+}
+
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    File::open(dir).and_then(|d| d.sync_all())
+}
+
+/// Write one record (`header + payload`) at `off`.
+fn write_record(file: &File, r: &Record<'_>, off: u64) -> std::io::Result<()> {
+    debug_assert!(r.magic != COMMIT_MAGIC && r.magic != TOMBSTONE_MAGIC);
+    let len = r.payload.len() as u64;
+    let header = encode_header(r.magic, r.a, r.b, r.c, len, payload_digest(r.payload));
+    write_at(file, &header, off)?;
+    write_at(file, r.payload, off + REC_HEADER)
+}
+
 /// One parsed record during replay.
 enum Parsed {
-    /// A payload record; `u64` is the offset one past its end.
-    Payload(OwnedRecord, u64),
+    /// A payload record.
+    Payload(RecordSpan),
     /// A tombstone: skip to its end.
     Skip(u64),
     /// A commit marker.
@@ -328,63 +402,64 @@ fn parse_record(buf: &[u8], off: u64) -> Option<Parsed> {
         _ => {
             // lint: allow(truncating-cast) — end ≤ limit = buf.len() (a usize)
             // was checked above; both bounds fit
-            let payload = &buf[(off + REC_HEADER) as usize..end as usize];
-            if check != check_word(magic, a, b, c, len, payload_digest(payload)) {
-                return None;
-            }
-            Some(Parsed::Payload(
-                OwnedRecord {
+            let payload = (off + REC_HEADER) as usize..end as usize;
+            (check == check_word(magic, a, b, c, len, payload_digest(&buf[payload.clone()])))
+                .then_some(Parsed::Payload(RecordSpan {
                     magic,
                     a,
                     b,
                     c,
-                    // lint: allow(unmetered-copy) — replay materializes owned records
-                    // at recovery time, not on the steady-state path
-                    payload: payload.to_vec(),
                     offset: off,
-                },
-                end,
-            ))
+                    payload,
+                }))
         }
     }
 }
 
 impl RecordLog {
-    /// Open (or create) the log `<base>.g<N>.log` under `dir`, keeping
-    /// the highest renamed generation (an interrupted rewrite's `.tmp`
-    /// never wins) and removing the debris. Replays the survivor and
-    /// returns every committed record in append order; appends resume
-    /// at the last durable commit marker.
+    /// Open (or create) the log `<base>.g<N>.log` under `dir` (see
+    /// [`RecordLog::open_raw`]) as a growing file and replay it: returns
+    /// every committed record in append order; appends resume at the
+    /// last durable commit marker.
     pub fn open(
         dir: &Path,
         base: &str,
         opts: RecordLogOptions,
     ) -> Result<(Self, Vec<OwnedRecord>), LogError> {
+        let log = Self::open_raw(dir, base, None, opts)?;
+        let buf = std::fs::read(&log.path).map_err(|_| LogError::Io("read log file"))?;
+        let mut records = Vec::new();
+        log.replay(&buf, |r| {
+            records.push(OwnedRecord {
+                magic: r.magic,
+                a: r.a,
+                b: r.b,
+                c: r.c,
+                // lint: allow(unmetered-copy) — replay materializes owned records
+                // at recovery time, not on the steady-state path
+                payload: buf[r.payload].to_vec(),
+                offset: r.offset,
+            })
+        });
+        Ok((log, records))
+    }
+
+    /// Open (or create) the log `<base>.g<N>.log` under `dir` without
+    /// replaying it: keeps the highest renamed generation (an
+    /// interrupted rewrite's `.tmp` never wins) and removes the debris.
+    /// With `capacity`, the file is extended sparsely to at least that
+    /// many bytes — its length from then on — and every reservation
+    /// keeps room for the marker that seals it. Call
+    /// [`RecordLog::replay`] before appending to a log that holds
+    /// records.
+    pub fn open_raw(
+        dir: &Path,
+        base: &str,
+        capacity: Option<u64>,
+        opts: RecordLogOptions,
+    ) -> Result<Self, LogError> {
         std::fs::create_dir_all(dir).map_err(|_| LogError::Io("create log dir"))?;
-        let mut newest: Option<u64> = None;
-        let mut debris: Vec<PathBuf> = Vec::new();
-        let entries = std::fs::read_dir(dir).map_err(|_| LogError::Io("scan log dir"))?;
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with(base) && name.ends_with(".tmp") {
-                debris.push(entry.path());
-            } else if let Some(n) = parse_log_name(base, name) {
-                match newest {
-                    Some(best) if best >= n => debris.push(entry.path()),
-                    Some(_) | None => {
-                        if let Some(best) = newest {
-                            debris.push(dir.join(log_file_name(base, best)));
-                        }
-                        newest = Some(n);
-                    }
-                }
-            }
-        }
-        for stale in debris {
-            let _ = std::fs::remove_file(stale);
-        }
-        let number = newest.unwrap_or(0);
+        let number = scan_generations(dir, base)?;
         let path = dir.join(log_file_name(base, number));
         let file = OpenOptions::new()
             .read(true)
@@ -393,26 +468,55 @@ impl RecordLog {
             .truncate(false)
             .open(&path)
             .map_err(|_| LogError::Io("open log file"))?;
+        let capacity = match capacity {
+            None => None,
+            Some(cap) => {
+                let existing = file
+                    .metadata()
+                    .map_err(|_| LogError::Io("stat log file"))?
+                    .len();
+                if cap > existing {
+                    file.set_len(cap)
+                        .map_err(|_| LogError::Io("extend log file"))?;
+                }
+                Some(cap.max(existing))
+            }
+        };
         if opts.fsync_on_commit {
             // The directory entry of a freshly created log must reach
             // stable storage before any commit is acknowledged.
-            File::open(dir)
-                .and_then(|d| d.sync_all())
-                .map_err(|_| LogError::Io("sync log dir"))?;
+            sync_dir(dir).map_err(|_| LogError::Io("sync log dir"))?;
         }
-        let buf = std::fs::read(&path).map_err(|_| LogError::Io("read log file"))?;
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            base: base.to_string(),
+            number,
+            file,
+            path,
+            capacity,
+            opts,
+            tail: AtomicU64::new(0),
+            commit: Mutex::new(CommitState::default()),
+            commit_cv: Condvar::new(),
+        })
+    }
 
-        // Replay: records become visible marker by marker.
-        let mut visible: Vec<OwnedRecord> = Vec::new();
-        let mut pending: Vec<OwnedRecord> = Vec::new();
+    /// Replay `bytes` — this log's file contents, read or mapped — and
+    /// hand each committed record to `visit`, in append order. Records
+    /// become visible marker by marker; replay ends at the first invalid
+    /// record or out-of-sequence marker. Everything beyond the last
+    /// durable marker (complete-but-uncommitted records included) was
+    /// never acknowledged: appends resume over it.
+    pub fn replay(&self, bytes: &[u8], mut visit: impl FnMut(RecordSpan)) {
+        let mut pending: Vec<RecordSpan> = Vec::new();
         let mut durable = 0u64;
         let mut seq = 0u64;
         let mut off = 0u64;
-        while let Some(parsed) = parse_record(&buf, off) {
+        while let Some(parsed) = parse_record(bytes, off) {
             match parsed {
-                Parsed::Payload(rec, end) => {
+                Parsed::Payload(rec) => {
+                    off = rec.payload.end as u64;
                     pending.push(rec);
-                    off = end;
                 }
                 Parsed::Skip(end) => off = end,
                 Parsed::Commit {
@@ -420,33 +524,32 @@ impl RecordLog {
                     covered_from,
                     end,
                 } => {
+                    // A checksum-valid marker that is out of sequence or
+                    // claims the wrong coverage is stale bytes from an
+                    // earlier incarnation, not a commit.
                     if s != seq || covered_from != durable {
                         break;
                     }
                     seq += 1;
                     durable = end;
-                    visible.append(&mut pending);
+                    pending.drain(..).for_each(&mut visit);
                     off = end;
                 }
             }
         }
-        let log = Self {
-            dir: dir.to_path_buf(),
-            base: base.to_string(),
-            number,
-            file,
-            path,
-            opts,
-            tail: AtomicU64::new(durable),
-            commit: Mutex::new(CommitState {
-                durable,
-                frontier: durable,
-                next_seq: seq,
-                ..CommitState::default()
-            }),
-            commit_cv: Condvar::new(),
+        self.resume(durable, seq);
+    }
+
+    /// Reset the commit state: appends continue at `durable`, and the
+    /// next marker carries `next_seq`.
+    fn resume(&self, durable: u64, next_seq: u64) {
+        *self.commit.lock() = CommitState {
+            durable,
+            frontier: durable,
+            next_seq,
+            ..CommitState::default()
         };
-        Ok((log, visible))
+        self.tail.store(durable, Ordering::Relaxed);
     }
 
     /// Path of the current generation file (error context).
@@ -454,60 +557,75 @@ impl RecordLog {
         &self.path
     }
 
+    /// The generation number (0 at creation, +1 per rewrite).
+    pub fn generation(&self) -> u64 {
+        self.number
+    }
+
+    /// The open generation file (for mapping it).
+    pub fn file(&self) -> &File {
+        &self.file
+    }
+
     /// Current log size in bytes (reserved tail).
     pub fn log_bytes(&self) -> u64 {
         self.tail.load(Ordering::Relaxed)
     }
 
-    /// Append one record and block until a commit marker covers it.
-    pub fn append(&self, rec: Record<'_>) -> Result<(), LogError> {
+    /// The highest offset a reservation may end at.
+    fn limit(&self) -> u64 {
+        self.capacity.unwrap_or(u64::MAX)
+    }
+
+    /// Append one record and block until a commit marker covers it;
+    /// returns the offset of its header.
+    pub fn append(&self, rec: Record<'_>) -> Result<u64, LogError> {
         self.append_batch(std::slice::from_ref(&rec))
     }
 
     /// Append a batch of records contiguously and block until one
     /// commit marker covers them all (one marker, one optional fsync —
-    /// the control-plane analogue of RPC aggregation).
-    pub fn append_batch(&self, recs: &[Record<'_>]) -> Result<(), LogError> {
+    /// the control-plane analogue of RPC aggregation). Returns the
+    /// offset of the first record's header; the rest follow back to
+    /// back.
+    pub fn append_batch(&self, recs: &[Record<'_>]) -> Result<u64, LogError> {
         if recs.is_empty() {
-            return Ok(());
+            return Ok(self.log_bytes());
         }
         let total: u64 = recs
             .iter()
             .map(|r| REC_HEADER + r.payload.len() as u64)
             .sum();
-        let start = self.tail.fetch_add(total, Ordering::Relaxed);
+        let limit = self.limit();
+        // Reserve a disjoint range, keeping room for the commit marker
+        // that will seal it.
+        let start = self
+            .tail
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                cur.checked_add(total + REC_HEADER)
+                    .filter(|&end| end <= limit)
+                    .map(|_| cur + total)
+            })
+            .map_err(|_| LogError::Full)?;
         let mut off = start;
-        let mut failed = false;
         for r in recs {
-            debug_assert!(r.magic != COMMIT_MAGIC && r.magic != TOMBSTONE_MAGIC);
-            let header = encode_header(
-                r.magic,
-                r.a,
-                r.b,
-                r.c,
-                r.payload.len() as u64,
-                payload_digest(r.payload),
-            );
-            if write_at(&self.file, &header, off).is_err()
-                || write_at(&self.file, r.payload, off + REC_HEADER).is_err()
-            {
-                failed = true;
-                break;
+            if write_record(&self.file, r, off).is_err() {
+                // Later appenders may own bytes beyond this range, so a
+                // hole here would end replay before their commits.
+                // Brand the whole reserved range one tombstone so replay
+                // steps over it; if even that fails, poison the log.
+                let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, total - REC_HEADER, 0);
+                if write_at(&self.file, &tomb, start).is_err() {
+                    self.commit.lock().poisoned = true;
+                }
+                self.complete(start, start + total);
+                return Err(LogError::Io("write log record"));
             }
             off += REC_HEADER + r.payload.len() as u64;
         }
-        if failed {
-            // Brand the whole reserved range one tombstone so replay
-            // steps over it; if even that fails, poison the log.
-            let tomb = encode_header(TOMBSTONE_MAGIC, 0, 0, 0, total - REC_HEADER, 0);
-            if write_at(&self.file, &tomb, start).is_err() {
-                self.commit.lock().poisoned = true;
-            }
-            self.complete(start, start + total);
-            return Err(LogError::Io("write log record"));
-        }
         self.complete(start, start + total);
-        self.commit_covering(start + total)
+        self.commit_covering(start + total)?;
+        Ok(start)
     }
 
     /// `fdatasync` the log file (explicit durability point for callers
@@ -518,55 +636,106 @@ impl RecordLog {
 
     /// Rewrite the log as a fresh generation containing exactly `recs`
     /// under one commit marker, atomically replacing the current file
-    /// (tmp → fsync → rename → unlink). Used to checkpoint after
-    /// replay: stale records beyond the last durable marker are
-    /// physically dropped, so identifiers they mention can be reused.
+    /// ([`RecordLog::prepare`] then [`RecordLog::install`]). Used to
+    /// checkpoint after replay: stale records beyond the last durable
+    /// marker are physically dropped, so identifiers they mention can
+    /// be reused.
     pub fn rewrite(&mut self, recs: &[Record<'_>]) -> Result<(), LogError> {
-        let next = self.number + 1;
-        let tmp = self.dir.join(format!("{}.g{next}.log.tmp", self.base));
-        let fresh = self.dir.join(log_file_name(&self.base, next));
-        let mut bytes: Vec<u8> = Vec::new();
-        for r in recs {
-            debug_assert!(r.magic != COMMIT_MAGIC && r.magic != TOMBSTONE_MAGIC);
-            // lint: allow(unmetered-copy) — compaction rewrite buffers the new log
-            // image; maintenance path, not per-op
-            bytes.extend_from_slice(&encode_header(
-                r.magic,
-                r.a,
-                r.b,
-                r.c,
-                r.payload.len() as u64,
-                payload_digest(r.payload),
-            ));
-            // lint: allow(unmetered-copy) — compaction rewrite, see above
-            bytes.extend_from_slice(r.payload);
+        let mut next = self.prepare(recs)?;
+        next.install(self)?;
+        *self = next;
+        Ok(())
+    }
+
+    /// The expensive half of a rewrite, touching nothing this log
+    /// serves: write `recs` into the next generation's `.tmp` file
+    /// (pre-sized like this one) under marker 0, and fsync it. The
+    /// returned log is that staged generation: it takes appends — a
+    /// compaction's catch-up batch lands under marker 1 — and becomes
+    /// the newest generation on disk only at [`RecordLog::install`].
+    /// Dropping it abandons the `.tmp` as debris the next open removes;
+    /// a failed prepare removes it at once.
+    pub fn prepare(&self, recs: &[Record<'_>]) -> Result<RecordLog, LogError> {
+        let number = self.number + 1;
+        let tmp = self
+            .dir
+            .join(format!("{}.tmp", log_file_name(&self.base, number)));
+        let staged = self.write_generation(number, &tmp, recs);
+        if staged.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
-        let marker_at = bytes.len() as u64;
-        // lint: allow(unmetered-copy) — commit marker append on the maintenance path
-        bytes.extend_from_slice(&encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0));
-        let durable = marker_at + REC_HEADER;
-        std::fs::write(&tmp, &bytes).map_err(|_| LogError::Io("write rewritten log"))?;
-        File::open(&tmp)
-            .and_then(|f| f.sync_all())
-            .map_err(|_| LogError::Io("sync rewritten log"))?;
-        std::fs::rename(&tmp, &fresh).map_err(|_| LogError::Io("rename rewritten log"))?;
-        let _ = File::open(&self.dir).and_then(|d| d.sync_all());
+        staged
+    }
+
+    fn write_generation(
+        &self,
+        number: u64,
+        tmp: &Path,
+        recs: &[Record<'_>],
+    ) -> Result<RecordLog, LogError> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&fresh)
-            .map_err(|_| LogError::Io("open rewritten log"))?;
-        let _ = std::fs::remove_file(&self.path);
-        self.number = next;
-        self.path = fresh;
-        self.file = file;
-        self.tail.store(durable, Ordering::Relaxed);
-        *self.commit.lock() = CommitState {
-            durable,
-            frontier: durable,
-            next_seq: 1,
-            ..CommitState::default()
+            .create(true)
+            .truncate(true)
+            .open(tmp)
+            .map_err(|_| LogError::Io("create next generation"))?;
+        if let Some(cap) = self.capacity {
+            file.set_len(cap)
+                .map_err(|_| LogError::Io("extend next generation"))?;
+        }
+        let mut off = 0u64;
+        for r in recs {
+            let end = off + REC_HEADER + r.payload.len() as u64;
+            if end + REC_HEADER > self.limit() {
+                return Err(LogError::Full);
+            }
+            write_record(&file, r, off).map_err(|_| LogError::Io("write next generation"))?;
+            off = end;
+        }
+        let marker = encode_header(COMMIT_MAGIC, 0, 0, 0, 0, 0);
+        write_at(&file, &marker, off).map_err(|_| LogError::Io("seal next generation"))?;
+        file.sync_all()
+            .map_err(|_| LogError::Io("sync next generation"))?;
+        let staged = RecordLog {
+            dir: self.dir.clone(),
+            base: self.base.clone(),
+            number,
+            file,
+            path: tmp.to_path_buf(),
+            capacity: self.capacity,
+            opts: self.opts,
+            tail: AtomicU64::new(0),
+            commit: Mutex::new(CommitState::default()),
+            commit_cv: Condvar::new(),
         };
+        staged.resume(off + REC_HEADER, 1);
+        Ok(staged)
+    }
+
+    /// Make this staged generation (from [`RecordLog::prepare`]) the
+    /// newest on disk in place of `old`: fsync it, rename the `.tmp` to
+    /// its final name, sync the directory, unlink `old`'s file. The
+    /// rename is the swap point — a crash before it recovers `old`,
+    /// after it this generation. Under `fsync_on_commit` a failed
+    /// directory sync undoes the rename and fails: a power loss could
+    /// otherwise revert the name and lose commits acknowledged after
+    /// the swap. If even the undo fails, `old` is poisoned so nothing
+    /// further is acknowledged.
+    pub fn install(&mut self, old: &RecordLog) -> Result<(), LogError> {
+        self.sync()?;
+        let fresh = self.dir.join(log_file_name(&self.base, self.number));
+        std::fs::rename(&self.path, &fresh).map_err(|_| LogError::Io("rename next generation"))?;
+        if sync_dir(&self.dir).is_err() && self.opts.fsync_on_commit {
+            if std::fs::rename(&fresh, &self.path).is_err() {
+                old.commit.lock().poisoned = true;
+            }
+            return Err(LogError::Io("sync log dir"));
+        }
+        // Readers holding a mapping of the old file keep its bytes;
+        // the unlink only drops the name.
+        let _ = std::fs::remove_file(&old.path);
+        self.path = fresh;
         Ok(())
     }
 
@@ -635,7 +804,13 @@ impl RecordLog {
         if !self.opts.group_commit_window.is_zero() {
             std::thread::sleep(self.opts.group_commit_window);
         }
-        let marker_at = self.tail.fetch_add(REC_HEADER, Ordering::Relaxed);
+        let limit = self.limit();
+        let marker_at = self
+            .tail
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                cur.checked_add(REC_HEADER).filter(|&end| end <= limit)
+            })
+            .map_err(|_| LogError::Full)?;
         let (seq, covered_from) = {
             let mut st = self.commit.lock();
             while st.frontier < marker_at {
@@ -647,7 +822,8 @@ impl RecordLog {
             // Re-check under the same lock: a failed append below the
             // marker slot poisons *before* completing its range, so a
             // frontier that already reached the slot can carry an
-            // un-skippable hole.
+            // un-skippable hole — sealing a marker over it would
+            // acknowledge records replay can never reach.
             if st.poisoned {
                 return Err(LogError::Poisoned);
             }
@@ -713,6 +889,20 @@ mod tests {
             c: a * 3,
             payload,
         }
+    }
+
+    /// Open `dir`'s `test` log the way the page log does — sparse file
+    /// pre-sized to a capacity, mapped, replayed in place — and return
+    /// the committed payloads.
+    fn replay_in_place(dir: &Path) -> Vec<Vec<u8>> {
+        let log = RecordLog::open_raw(dir, "test", Some(8192), RecordLogOptions::default())
+            .expect("open pre-sized log");
+        let map = crate::PageBuf::map_file(log.file()).expect("map log");
+        let mut payloads = Vec::new();
+        log.replay(map.as_slice(), |r| {
+            payloads.push(map.as_slice()[r.payload].to_vec())
+        });
+        payloads
     }
 
     #[test]
@@ -868,6 +1058,8 @@ mod tests {
             std::fs::create_dir_all(&dir).unwrap();
             std::fs::write(dir.join("test.g0.log"), &bytes).unwrap();
             let _ = RecordLog::open(&dir, "test", RecordLogOptions::default());
+            // The page log's path: pre-sized file, replayed in place.
+            let _ = replay_in_place(&dir);
             let _ = std::fs::remove_dir_all(&dir);
         }
 
@@ -891,8 +1083,14 @@ mod tests {
             // Whatever replays must be an exact prefix of what was acked.
             let acked: Vec<&[u8]> = vec![b"alpha", b"beta", b"gamma"];
             proptest::prop_assert!(replayed.len() <= acked.len());
-            for (r, want) in replayed.iter().zip(acked) {
-                proptest::prop_assert_eq!(&r.payload[..], want);
+            for (r, want) in replayed.iter().zip(&acked) {
+                proptest::prop_assert_eq!(&r.payload[..], *want);
+            }
+            // The page log's path: pre-sized file, replayed in place.
+            let in_place = replay_in_place(&dir);
+            proptest::prop_assert!(in_place.len() <= acked.len());
+            for (r, want) in in_place.iter().zip(&acked) {
+                proptest::prop_assert_eq!(&r[..], *want);
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

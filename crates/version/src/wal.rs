@@ -65,6 +65,7 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
         offset: 0,
         detail: match e {
             LogError::Io(op) => op,
+            LogError::Full => "version log full",
             LogError::Poisoned => "version log poisoned",
             LogError::CommitFailed => "version log commit failed",
         },
@@ -186,6 +187,7 @@ impl VersionLog {
                 c: geom.page_size,
                 payload: &[],
             })
+            .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
     }
 
@@ -236,6 +238,7 @@ impl VersionLog {
             .collect();
         self.log
             .append_batch(&records)
+            .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
     }
 
