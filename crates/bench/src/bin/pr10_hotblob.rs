@@ -33,13 +33,10 @@
 //! regressions of the locks-per-op and copies-per-op columns against
 //! the committed baseline.
 
-use blobseer_bench::{measure_region, payload, KB, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, PARITY};
+use blobseer_bench::KB;
 use blobseer_core::{Deployment, DeploymentConfig};
-use blobseer_rpc::Ctx;
 use blobseer_simnet::ServiceCosts;
-use blobseer_util::lockmeter;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 use std::time::Duration;
 
 const PAGE: u64 = 8 * KB;
@@ -71,15 +68,6 @@ fn costs() -> ServiceCosts {
     }
 }
 
-struct Sample {
-    clients: usize,
-    /// Aggregate virtual-time throughput (the fig3c regime).
-    mib_s: f64,
-    copied_per_op: f64,
-    ser_per_op: f64,
-    va_per_op: f64,
-}
-
 fn deployment(batched: bool) -> Deployment {
     let mut cfg = DeploymentConfig::grid5000(PROVIDERS)
         .tune()
@@ -96,107 +84,21 @@ fn deployment(batched: bool) -> Deployment {
 /// the median filters scheduler flukes on shared CI hosts.
 const REPS: usize = 3;
 
-fn run_phase(n: usize, batched: bool) -> Sample {
-    let mut reps: Vec<Sample> = (0..REPS).map(|_| run_phase_once(n, batched)).collect();
-    reps.sort_by(|a, b| a.mib_s.total_cmp(&b.mib_s));
-    reps.swap_remove(REPS / 2)
-}
-
-fn run_phase_once(n: usize, batched: bool) -> Sample {
-    let d = Arc::new(deployment(batched));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let blob = setup.alloc(&mut ctx, BLOB, PAGE).unwrap().blob;
-
-    // Warm clients: geometry cached, roster loaded. Spawn cost is
-    // startup, not the per-op assignment profile this sweep gates on.
-    let clients: Vec<_> = (0..n)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    // Every measured writer is causally after setup and starts together
-    // at the cluster's virtual-time horizon.
-    let base_vt = d.cluster.horizon();
-    let locks = lockmeter::snapshot();
-    let mut end_vts = vec![0u64; n];
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for ((t, c), end) in clients.into_iter().enumerate().zip(&mut end_vts) {
-                scope.spawn(move || {
-                    let mut ctx = Ctx::at(base_vt);
-                    let data = payload(PAGE, t as u64);
-                    for i in 0..OPS_PER_CLIENT {
-                        // One page per op, all writers interleaving over
-                        // the same 64-page blob: the hottest possible
-                        // version-assignment workload.
-                        let slot = (t as u64 * OPS_PER_CLIENT + i) % (BLOB / PAGE);
-                        c.write(&mut ctx, blob, slot * PAGE, &data).unwrap();
-                    }
-                    *end = ctx.vt;
-                });
-            }
-        });
-    });
-    let d_locks = locks.since();
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    let virtual_secs = (end_vts.iter().copied().max().unwrap_or(base_vt) - base_vt) as f64 / 1e9;
-    Sample {
-        clients: n,
-        mib_s: ops * PAGE as f64 / MB as f64 / virtual_secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: d_locks.version_assign as f64 / ops,
+/// One page per op, every writer interleaving over the same 64-page
+/// blob — the hottest possible version-assignment workload — timed in
+/// virtual time (the fig3c regime).
+fn row(deploy: &(dyn Fn() -> Deployment + Sync)) -> Row<'_> {
+    Row {
+        deploy,
+        op: Op::Write,
+        page: PAGE,
+        seg: PAGE,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Hot(BLOB),
+        reps: REPS,
+        clock: Clock::Virtual,
     }
-}
-
-fn at(samples: &[Sample], clients: usize) -> &Sample {
-    samples
-        .iter()
-        .find(|s| s.clients == clients)
-        .expect("client count in sweep")
-}
-
-fn table(batched: &[Sample], per_op: &[Sample]) -> Table {
-    let mut t = Table::new(&[
-        "clients",
-        "batched MiB/s",
-        "per-op MiB/s",
-        "speedup",
-        "va/op batched",
-        "va/op per-op",
-        "ser/op",
-        "copied/op",
-    ]);
-    for (b, p) in batched.iter().zip(per_op) {
-        t.row(&[
-            b.clients.to_string(),
-            format!("{:.1}", b.mib_s),
-            format!("{:.1}", p.mib_s),
-            format!("{:.2}x", b.mib_s / p.mib_s),
-            format!("{:.3}", b.va_per_op),
-            format!("{:.2}", p.va_per_op),
-            format!("{:.2}", b.ser_per_op),
-            format!("{:.0}", b.copied_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}, \"serializing_locks_per_op\": {:.2}, \"version_assign_locks_per_op\": {:.3}}}",
-                s.clients, s.mib_s, s.copied_per_op, s.ser_per_op, s.va_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
 }
 
 fn main() {
@@ -206,9 +108,9 @@ fn main() {
     );
 
     println!("\n-- series: hot_batched (grant protocol)");
-    let batched: Vec<Sample> = CLIENTS.iter().map(|&n| run_phase(n, true)).collect();
+    let batched = sweep::run(&row(&|| deployment(true)));
     println!("-- series: hot_per_op (ablation: one acquisition per write)");
-    let per_op: Vec<Sample> = CLIENTS.iter().map(|&n| run_phase(n, false)).collect();
+    let per_op = sweep::run(&row(&|| deployment(false)));
 
     // The acceptance asserts — the bench *is* the gate.
     for s in batched.iter().chain(&per_op) {
@@ -244,17 +146,17 @@ fn main() {
         );
     }
 
-    let t = table(&batched, &per_op);
+    let t = sweep::table(&[("per-op", &per_op), ("batched", &batched)], PARITY);
     blobseer_bench::emit(
         "pr10_hotblob",
         "PR10 hot-blob write sweep, grant-batched vs per-op assignment",
         &t,
     );
 
-    let b64 = at(&batched, 64);
-    let p64 = at(&per_op, 64);
+    let b64 = sweep::at(&batched, 64);
+    let p64 = sweep::at(&per_op, 64);
     let ratio64 = b64.mib_s / p64.mib_s;
-    let va16 = at(&batched, 16).va_per_op;
+    let va16 = sweep::at(&batched, 16).va_per_op;
     println!(
         "\nheadline: va/op@16 = {va16:.3} (< 1.0), batched@64 = {:.1} MiB/s = {ratio64:.2}x ablation ({:.1} MiB/s)",
         b64.mib_s, p64.mib_s
@@ -263,8 +165,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"pr10_hotblob\",\n  \"page_size\": {PAGE},\n  \"blob_bytes\": {BLOB},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"version_assign_ns\": {VERSION_ASSIGN_NS},\n  \"grant_window_ms\": {},\n  \"write\": {{\"hot_batched\": {}, \"hot_per_op\": {}}},\n  \"write_16_batched_version_assign_locks_per_op\": {va16:.3},\n  \"write_64_batched_over_per_op\": {ratio64:.3}\n}}\n",
         GRANT_WINDOW.as_millis(),
-        json_series(&batched),
-        json_series(&per_op),
+        sweep::json_series(&batched, PARITY),
+        sweep::json_series(&per_op, PARITY),
     );
     std::fs::write("BENCH_PR10.json", &json).expect("write BENCH_PR10.json");
     println!("(json written to BENCH_PR10.json)");

@@ -4,7 +4,7 @@
 //! time is dominated by real CPU work — exactly the memcpy traffic this
 //! PR removes) at 1–64 concurrent clients, large pages, in two modes:
 //!
-//! * **before** — `wire::set_zero_copy(false)`: every page payload is
+//! * **before** — `wire::zero_copy_ablation(false)`: every page payload is
 //!   copied at each hop (encode, batch, decode, store, respond), the
 //!   seed's copy regime;
 //! * **after** — the zero-copy path: pages are shared by refcount; a
@@ -15,13 +15,9 @@
 //! aggregate throughput, per-op bytes-copied, and the before→after
 //! improvement on the large-page write benchmark.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, COPIES};
 use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_proto::wire;
-use blobseer_proto::Segment;
-use blobseer_rpc::Ctx;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 
 const PAGE: u64 = 256 * 1024; // large pages: the copy-bound regime
 const SEG_PAGES: u64 = 4; // 1 MiB per operation
@@ -30,175 +26,54 @@ const OPS_PER_CLIENT: u64 = 24;
 const PROVIDERS: usize = 8;
 const CLIENTS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
 
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    copied_per_op: f64,
-}
-
 fn deployment() -> Deployment {
     let mut cfg = DeploymentConfig::functional(PROVIDERS);
     cfg.provider_capacity = u64::MAX;
     Deployment::build(cfg)
 }
 
-/// One write phase: `n` client threads, disjoint regions, `OPS_PER_CLIENT`
-/// segment writes each. Returns aggregate MiB/s and copies per op.
-fn run_write(n: usize) -> Sample {
-    let d = Arc::new(deployment());
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    // One blob, each client owns a disjoint region of it.
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
+/// `n` clients, disjoint regions, `OPS_PER_CLIENT` segment ops each.
+fn row(op: Op) -> Row<'static> {
+    Row {
+        deploy: &deployment,
+        op,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
     }
-}
-
-/// One read phase: prefill a region, then `n` clients re-read segments.
-fn run_read(n: usize) -> Sample {
-    let d = Arc::new(deployment());
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-    for t in 0..n as u64 {
-        let data = payload(SEG, t);
-        for i in 0..OPS_PER_CLIENT {
-            setup
-                .write(&mut ctx, blob, region * t + i * SEG, &data)
-                .unwrap();
-        }
-    }
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let base = region * t as u64;
-                    let mut out = vec![0u8; SEG as usize];
-                    for i in 0..OPS_PER_CLIENT {
-                        c.read_into(
-                            &mut ctx,
-                            blob,
-                            None,
-                            Segment::new(base + i * SEG, SEG),
-                            &mut out,
-                        )
-                        .unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-    }
-}
-
-fn run_mode(zero_copy: bool) -> (Vec<Sample>, Vec<Sample>) {
-    wire::set_zero_copy(zero_copy);
-    let writes: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n)).collect();
-    let reads: Vec<Sample> = CLIENTS.iter().map(|&n| run_read(n)).collect();
-    wire::set_zero_copy(true);
-    (writes, reads)
-}
-
-fn table(title: &str, before: &[Sample], after: &[Sample]) -> Table {
-    let before_col = format!("{title} before MiB/s");
-    let after_col = format!("{title} after MiB/s");
-    let mut t = Table::new(&[
-        "clients",
-        &before_col,
-        &after_col,
-        "speedup",
-        "copied/op before",
-        "copied/op after",
-    ]);
-    for (b, a) in before.iter().zip(after) {
-        t.row(&[
-            b.clients.to_string(),
-            format!("{:.1}", b.mib_s),
-            format!("{:.1}", a.mib_s),
-            format!("{:.2}x", a.mib_s / b.mib_s),
-            format!("{:.0}", b.copied_per_op),
-            format!("{:.0}", a.copied_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}}}",
-                s.clients, s.mib_s, s.copied_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
 }
 
 fn main() {
     println!("pr1 zero-copy benchmark: page={PAGE} seg={SEG} ops/client={OPS_PER_CLIENT}");
 
     println!("\n-- mode: before (per-hop payload copies, the seed regime)");
-    let (w_before, r_before) = run_mode(false);
+    let (w_before, r_before) = {
+        let _seed_copies = wire::zero_copy_ablation(false);
+        (sweep::run(&row(Op::Write)), sweep::run(&row(Op::Read)))
+    };
     println!("-- mode: after (zero-copy shared PageBuf path)");
-    let (w_after, r_after) = run_mode(true);
+    let (w_after, r_after) = (sweep::run(&row(Op::Write)), sweep::run(&row(Op::Read)));
 
-    let wt = table("write", &w_before, &w_after);
-    let rt = table("read", &r_before, &r_after);
+    let wt = sweep::table(&[("before", &w_before), ("after", &w_after)], COPIES);
+    let rt = sweep::table(&[("before", &r_before), ("after", &r_after)], COPIES);
     blobseer_bench::emit("pr1_write", "PR1 large-page write, before vs after", &wt);
     blobseer_bench::emit("pr1_read", "PR1 large-page read, before vs after", &rt);
 
     // Headline number: geometric-mean write speedup across client counts.
-    let speedups: Vec<f64> = w_before
-        .iter()
-        .zip(&w_after)
-        .map(|(b, a)| a.mib_s / b.mib_s)
-        .collect();
-    let geo = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    let geo = sweep::geomean_ratio(&w_before, &w_after);
     let pct = (geo - 1.0) * 100.0;
     println!("\nlarge-page write throughput improvement (geomean): {pct:.1}%");
 
     let json = format!(
         "{{\n  \"bench\": \"pr1_zero_copy\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"write\": {{\"before\": {}, \"after\": {}}},\n  \"read\": {{\"before\": {}, \"after\": {}}},\n  \"write_speedup_geomean\": {geo:.3},\n  \"write_improvement_pct\": {pct:.1}\n}}\n",
-        json_series(&w_before),
-        json_series(&w_after),
-        json_series(&r_before),
-        json_series(&r_after),
+        sweep::json_series(&w_before, COPIES),
+        sweep::json_series(&w_after, COPIES),
+        sweep::json_series(&r_before, COPIES),
+        sweep::json_series(&r_after, COPIES),
     );
     std::fs::write("BENCH_PR1.json", &json).expect("write BENCH_PR1.json");
     println!("(json written to BENCH_PR1.json)");

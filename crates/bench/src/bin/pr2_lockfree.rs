@@ -4,7 +4,7 @@
 //! Runs the full distributed stack (zero-cost transport, zero-copy data
 //! path — PR 1's regime) at 1–256 concurrent clients in two modes:
 //!
-//! * **serialized** — `lockmeter::set_serialized_control_plane(true)`:
+//! * **serialized** — `lockmeter::serialized_ablation(true)`:
 //!   every `plan_write` funnels through one global mutex and every
 //!   metadata-cache access through another, reproducing the pre-PR-2
 //!   control plane (a `RwLock`-guarded provider table and a
@@ -23,13 +23,9 @@
 //! acceptance numbers: write throughput at 64 clients vs the PR 1
 //! baseline (583 MiB/s) and vs the 8-client peak.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, LOCKS};
 use blobseer_core::{Deployment, DeploymentConfig};
-use blobseer_proto::Segment;
-use blobseer_rpc::Ctx;
 use blobseer_util::lockmeter;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 
 const PAGE: u64 = 256 * 1024;
 const SEG_PAGES: u64 = 4; // 1 MiB per operation, as in pr1_zero_copy
@@ -40,17 +36,6 @@ const CLIENTS: &[usize] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// PR 1's zero-copy write throughput at 64 clients (BENCH_PR1.json) —
 /// the cliff this PR flattens.
 const PR1_WRITE_64_MIB_S: f64 = 583.46;
-
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    /// Serializing control-plane acquisitions per op (must be 0 after).
-    ser_per_op: f64,
-    /// Version-assignment (sanctioned) acquisitions per op.
-    va_per_op: f64,
-    /// Sharded exclusive acquisitions per op (cache insert/evict).
-    sharded_per_op: f64,
-}
 
 fn deployment() -> Deployment {
     let mut cfg = DeploymentConfig::functional(PROVIDERS);
@@ -67,154 +52,38 @@ fn deployment() -> Deployment {
 /// the median filters both steal spikes and lucky bursts.
 const REPS: usize = 3;
 
-fn run_phase(n: usize, write: bool) -> Sample {
-    let mut reps: Vec<Sample> = (0..REPS).map(|_| run_phase_once(n, write)).collect();
-    reps.sort_by(|a, b| a.mib_s.total_cmp(&b.mib_s));
-    reps.swap_remove(REPS / 2)
-}
-
-fn run_phase_once(n: usize, write: bool) -> Sample {
-    let d = Arc::new(deployment());
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    // One fixed-size blob for every client count, so per-op tree depth —
-    // and with it metadata work — is identical across the sweep and the
-    // curves measure *contention*, nothing else.
-    let total = (region * CLIENTS.last().copied().unwrap() as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-    if !write {
-        for t in 0..n as u64 {
-            let data = payload(SEG, t);
-            for i in 0..OPS_PER_CLIENT {
-                setup
-                    .write(&mut ctx, blob, region * t + i * SEG, &data)
-                    .unwrap();
-            }
-        }
+fn row(op: Op) -> Row<'static> {
+    Row {
+        deploy: &deployment,
+        op,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: REPS,
+        clock: Clock::Wall,
     }
-    // Steady state means warm clients: geometry cached, roster snapshot
-    // loaded. Client spawn + first-open cost is startup, not the per-op
-    // control plane this sweep measures.
-    let clients: Vec<_> = (0..n)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    let locks = lockmeter::snapshot();
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for (t, c) in clients.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut ctx = Ctx::start();
-                    let base = region * t as u64;
-                    if write {
-                        let data = payload(SEG, t as u64);
-                        for i in 0..OPS_PER_CLIENT {
-                            c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                        }
-                    } else {
-                        let mut out = vec![0u8; SEG as usize];
-                        for i in 0..OPS_PER_CLIENT {
-                            c.read_into(
-                                &mut ctx,
-                                blob,
-                                None,
-                                Segment::new(base + i * SEG, SEG),
-                                &mut out,
-                            )
-                            .unwrap();
-                        }
-                    }
-                });
-            }
-        });
-    });
-    let d_locks = locks.since();
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: d_locks.version_assign as f64 / ops,
-        sharded_per_op: d_locks.sharded as f64 / ops,
-    }
-}
-
-fn run_mode(serialized: bool) -> (Vec<Sample>, Vec<Sample>) {
-    lockmeter::set_serialized_control_plane(serialized);
-    let writes: Vec<Sample> = CLIENTS.iter().map(|&n| run_phase(n, true)).collect();
-    let reads: Vec<Sample> = CLIENTS.iter().map(|&n| run_phase(n, false)).collect();
-    lockmeter::set_serialized_control_plane(false);
-    (writes, reads)
-}
-
-fn table(title: &str, before: &[Sample], after: &[Sample]) -> Table {
-    let before_col = format!("{title} serialized MiB/s");
-    let after_col = format!("{title} lockfree MiB/s");
-    let mut t = Table::new(&[
-        "clients",
-        &before_col,
-        &after_col,
-        "speedup",
-        "ser/op before",
-        "ser/op after",
-        "va/op after",
-        "sharded/op after",
-    ]);
-    for (b, a) in before.iter().zip(after) {
-        t.row(&[
-            b.clients.to_string(),
-            format!("{:.1}", b.mib_s),
-            format!("{:.1}", a.mib_s),
-            format!("{:.2}x", a.mib_s / b.mib_s),
-            format!("{:.1}", b.ser_per_op),
-            format!("{:.1}", a.ser_per_op),
-            format!("{:.2}", a.va_per_op),
-            format!("{:.1}", a.sharded_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"serializing_locks_per_op\": {:.2}, \"version_assign_locks_per_op\": {:.2}, \"sharded_locks_per_op\": {:.2}}}",
-                s.clients, s.mib_s, s.ser_per_op, s.va_per_op, s.sharded_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
-
-fn at(samples: &[Sample], clients: usize) -> &Sample {
-    samples
-        .iter()
-        .find(|s| s.clients == clients)
-        .expect("client count in sweep")
 }
 
 fn main() {
     println!("pr2 lock-free control plane: page={PAGE} seg={SEG} ops/client={OPS_PER_CLIENT}");
 
     println!("\n-- mode: serialized control plane (the pre-PR-2 regime)");
-    let (w_ser, r_ser) = run_mode(true);
+    let (w_ser, r_ser) = {
+        let _serialized = lockmeter::serialized_ablation(true);
+        (sweep::run(&row(Op::Write)), sweep::run(&row(Op::Read)))
+    };
     println!("-- mode: lock-free control plane");
-    let (w_free, r_free) = run_mode(false);
+    let (w_free, r_free) = (sweep::run(&row(Op::Write)), sweep::run(&row(Op::Read)));
 
-    let wt = table("write", &w_ser, &w_free);
-    let rt = table("read", &r_ser, &r_free);
+    let wt = sweep::table(&[("serialized", &w_ser), ("lockfree", &w_free)], LOCKS);
+    let rt = sweep::table(&[("serialized", &r_ser), ("lockfree", &r_free)], LOCKS);
     blobseer_bench::emit("pr2_write", "PR2 write sweep, serialized vs lock-free", &wt);
     blobseer_bench::emit("pr2_read", "PR2 read sweep, serialized vs lock-free", &rt);
 
-    let w64 = at(&w_free, 64);
-    let peak8 = at(&w_free, 8);
+    let w64 = sweep::at(&w_free, 64);
+    let peak8 = sweep::at(&w_free, 8);
     let vs_pr1 = w64.mib_s / PR1_WRITE_64_MIB_S;
     let vs_peak = w64.mib_s / peak8.mib_s;
     println!(
@@ -226,16 +95,16 @@ fn main() {
     println!(
         "serializing locks/op at 64 clients: {:.2} (serialized mode: {:.1})",
         w64.ser_per_op,
-        at(&w_ser, 64).ser_per_op
+        sweep::at(&w_ser, 64).ser_per_op
     );
 
     let json = format!(
         "{{\n  \"bench\": \"pr2_lockfree\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"cache_nodes\": {},\n  \"write\": {{\"serialized\": {}, \"lockfree\": {}}},\n  \"read\": {{\"serialized\": {}, \"lockfree\": {}}},\n  \"pr1_write_64_baseline_mib_s\": {PR1_WRITE_64_MIB_S},\n  \"write_64_lockfree_mib_s\": {:.2},\n  \"write_64_vs_pr1_baseline\": {vs_pr1:.3},\n  \"write_64_vs_8_client_peak\": {vs_peak:.3},\n  \"write_64_serializing_locks_per_op\": {:.2}\n}}\n",
         1 << 18,
-        json_series(&w_ser),
-        json_series(&w_free),
-        json_series(&r_ser),
-        json_series(&r_free),
+        sweep::json_series(&w_ser, LOCKS),
+        sweep::json_series(&w_free, LOCKS),
+        sweep::json_series(&r_ser, LOCKS),
+        sweep::json_series(&r_free, LOCKS),
         w64.mib_s,
         w64.ser_per_op,
     );

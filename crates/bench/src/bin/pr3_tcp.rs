@@ -18,12 +18,8 @@
 //! aggregate throughput, per-op bytes-copied, and the flatten→gather
 //! improvement on the large-page write benchmark.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, COPIES};
 use blobseer_core::{Deployment, DeploymentConfig};
-use blobseer_proto::Segment;
-use blobseer_rpc::Ctx;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 
 const PAGE: u64 = 256 * 1024; // large pages: the copy-bound regime
 const SEG_PAGES: u64 = 4; // 1 MiB per operation
@@ -31,12 +27,6 @@ const SEG: u64 = SEG_PAGES * PAGE;
 const OPS_PER_CLIENT: u64 = 8;
 const PROVIDERS: usize = 8;
 const CLIENTS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
-
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    copied_per_op: f64,
-}
 
 fn deployment(gather: bool) -> Deployment {
     let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS);
@@ -49,128 +39,19 @@ fn deployment(gather: bool) -> Deployment {
     d
 }
 
-/// One write phase: `n` client threads, disjoint regions, over sockets.
-fn run_write(n: usize, gather: bool) -> Sample {
-    let d = Arc::new(deployment(gather));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
+/// `n` client threads, disjoint regions, over sockets.
+fn row(op: Op, deploy: &(dyn Fn() -> Deployment + Sync)) -> Row<'_> {
+    Row {
+        deploy,
+        op,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
     }
-}
-
-/// One read phase: prefill a region, then `n` clients re-read segments.
-fn run_read(n: usize, gather: bool) -> Sample {
-    let d = Arc::new(deployment(gather));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-    for t in 0..n as u64 {
-        let data = payload(SEG, t);
-        for i in 0..OPS_PER_CLIENT {
-            setup
-                .write(&mut ctx, blob, region * t + i * SEG, &data)
-                .unwrap();
-        }
-    }
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let base = region * t as u64;
-                    let mut out = vec![0u8; SEG as usize];
-                    for i in 0..OPS_PER_CLIENT {
-                        c.read_into(
-                            &mut ctx,
-                            blob,
-                            None,
-                            Segment::new(base + i * SEG, SEG),
-                            &mut out,
-                        )
-                        .unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-    }
-}
-
-fn run_mode(gather: bool) -> (Vec<Sample>, Vec<Sample>) {
-    let writes: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n, gather)).collect();
-    let reads: Vec<Sample> = CLIENTS.iter().map(|&n| run_read(n, gather)).collect();
-    (writes, reads)
-}
-
-fn table(title: &str, flatten: &[Sample], gather: &[Sample]) -> Table {
-    let flatten_col = format!("{title} flatten MiB/s");
-    let gather_col = format!("{title} gather MiB/s");
-    let mut t = Table::new(&[
-        "clients",
-        &flatten_col,
-        &gather_col,
-        "speedup",
-        "copied/op flatten",
-        "copied/op gather",
-    ]);
-    for (f, g) in flatten.iter().zip(gather) {
-        t.row(&[
-            f.clients.to_string(),
-            format!("{:.1}", f.mib_s),
-            format!("{:.1}", g.mib_s),
-            format!("{:.2}x", g.mib_s / f.mib_s),
-            format!("{:.0}", f.copied_per_op),
-            format!("{:.0}", g.copied_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}}}",
-                s.clients, s.mib_s, s.copied_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
 }
 
 fn main() {
@@ -179,12 +60,20 @@ fn main() {
     );
 
     println!("\n-- mode: flatten (contiguous copy before every socket write)");
-    let (w_flat, r_flat) = run_mode(false);
+    let flatten = || deployment(false);
+    let (w_flat, r_flat) = (
+        sweep::run(&row(Op::Write, &flatten)),
+        sweep::run(&row(Op::Read, &flatten)),
+    );
     println!("-- mode: gather (writev straight from the segment chain)");
-    let (w_gat, r_gat) = run_mode(true);
+    let gather = || deployment(true);
+    let (w_gat, r_gat) = (
+        sweep::run(&row(Op::Write, &gather)),
+        sweep::run(&row(Op::Read, &gather)),
+    );
 
-    let wt = table("write", &w_flat, &w_gat);
-    let rt = table("read", &r_flat, &r_gat);
+    let wt = sweep::table(&[("flatten", &w_flat), ("gather", &w_gat)], COPIES);
+    let rt = sweep::table(&[("flatten", &r_flat), ("gather", &r_gat)], COPIES);
     blobseer_bench::emit(
         "pr3_write",
         "PR3 tcp large-page write, flatten vs gather",
@@ -197,21 +86,16 @@ fn main() {
     );
 
     // Headline: geometric-mean write speedup across client counts.
-    let speedups: Vec<f64> = w_flat
-        .iter()
-        .zip(&w_gat)
-        .map(|(f, g)| g.mib_s / f.mib_s)
-        .collect();
-    let geo = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+    let geo = sweep::geomean_ratio(&w_flat, &w_gat);
     let pct = (geo - 1.0) * 100.0;
     println!("\ntcp large-page write throughput improvement (geomean): {pct:.1}%");
 
     let json = format!(
         "{{\n  \"bench\": \"pr3_tcp\",\n  \"transport\": \"tcp-loopback\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"write\": {{\"flatten\": {}, \"gather\": {}}},\n  \"read\": {{\"flatten\": {}, \"gather\": {}}},\n  \"write_speedup_geomean\": {geo:.3},\n  \"write_improvement_pct\": {pct:.1}\n}}\n",
-        json_series(&w_flat),
-        json_series(&w_gat),
-        json_series(&r_flat),
-        json_series(&r_gat),
+        sweep::json_series(&w_flat, COPIES),
+        sweep::json_series(&w_gat, COPIES),
+        sweep::json_series(&r_flat, COPIES),
+        sweep::json_series(&r_gat, COPIES),
     );
     std::fs::write("BENCH_PR3.json", &json).expect("write BENCH_PR3.json");
     println!("(json written to BENCH_PR3.json)");

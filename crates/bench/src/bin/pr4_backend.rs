@@ -20,13 +20,12 @@
 //! (`bench_gate`) catches quieter drifts against the committed
 //! `BENCH_PR4.json`.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::payload;
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, COPIES};
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::copymeter;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 
 const PAGE: u64 = 256 * 1024; // large pages: the copy-bound regime
 const SEG_PAGES: u64 = 4; // 1 MiB per operation
@@ -34,12 +33,6 @@ const SEG: u64 = SEG_PAGES * PAGE;
 const OPS_PER_CLIENT: u64 = 8;
 const PROVIDERS: usize = 8;
 const CLIENTS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
-
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    copied_per_op: f64,
-}
 
 fn deployment(backend: BackendKind) -> Deployment {
     let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS)
@@ -50,84 +43,18 @@ fn deployment(backend: BackendKind) -> Deployment {
     Deployment::build(cfg)
 }
 
-/// One write phase: `n` client threads, disjoint regions, over sockets.
-fn run_write(n: usize, backend: BackendKind) -> Sample {
-    let d = Arc::new(deployment(backend));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-    }
-}
-
-/// One read phase: prefill a region, then `n` clients re-read segments.
-fn run_read(n: usize, backend: BackendKind) -> Sample {
-    let d = Arc::new(deployment(backend));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-    for t in 0..n as u64 {
-        let data = payload(SEG, t);
-        for i in 0..OPS_PER_CLIENT {
-            setup
-                .write(&mut ctx, blob, region * t + i * SEG, &data)
-                .unwrap();
-        }
-    }
-
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..n {
-                let d = Arc::clone(&d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let base = region * t as u64;
-                    let mut out = vec![0u8; SEG as usize];
-                    for i in 0..OPS_PER_CLIENT {
-                        c.read_into(
-                            &mut ctx,
-                            blob,
-                            None,
-                            Segment::new(base + i * SEG, SEG),
-                            &mut out,
-                        )
-                        .unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
+/// `n` client threads, disjoint regions, over sockets.
+fn row(op: Op, deploy: &(dyn Fn() -> Deployment + Sync)) -> Row<'_> {
+    Row {
+        deploy,
+        op,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
     }
 }
 
@@ -149,12 +76,6 @@ fn run_read_buf_copies(backend: BackendKind) -> u64 {
     before.bytes_since()
 }
 
-fn run_mode(backend: BackendKind) -> (Vec<Sample>, Vec<Sample>) {
-    let writes: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n, backend)).collect();
-    let reads: Vec<Sample> = CLIENTS.iter().map(|&n| run_read(n, backend)).collect();
-    (writes, reads)
-}
-
 /// The invariant this PR's seam promised: exactly the sanctioned copy
 /// per op, regardless of backend. Asserted here so the bench itself is
 /// an acceptance test, not just a reporter.
@@ -170,43 +91,6 @@ fn assert_copy_invariants(name: &str, samples: &[Sample]) {
     }
 }
 
-fn table(title: &str, memory: &[Sample], mmap: &[Sample]) -> Table {
-    let memory_col = format!("{title} memory MiB/s");
-    let mmap_col = format!("{title} mmap MiB/s");
-    let mut t = Table::new(&[
-        "clients",
-        &memory_col,
-        &mmap_col,
-        "ratio",
-        "copied/op memory",
-        "copied/op mmap",
-    ]);
-    for (m, p) in memory.iter().zip(mmap) {
-        t.row(&[
-            m.clients.to_string(),
-            format!("{:.1}", m.mib_s),
-            format!("{:.1}", p.mib_s),
-            format!("{:.2}x", p.mib_s / m.mib_s),
-            format!("{:.0}", m.copied_per_op),
-            format!("{:.0}", p.copied_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}}}",
-                s.clients, s.mib_s, s.copied_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
-
 fn main() {
     println!(
         "pr4 storage backend benchmark: page={PAGE} seg={SEG} ops/client={OPS_PER_CLIENT} \
@@ -214,9 +98,17 @@ fn main() {
     );
 
     println!("\n-- backend: memory (provider heap, volatile)");
-    let (w_mem, r_mem) = run_mode(BackendKind::Memory);
+    let memory = || deployment(BackendKind::Memory);
+    let (w_mem, r_mem) = (
+        sweep::run(&row(Op::Write, &memory)),
+        sweep::run(&row(Op::Read, &memory)),
+    );
     println!("-- backend: mmap (append-only page log, persistent)");
-    let (w_map, r_map) = run_mode(BackendKind::Mmap);
+    let mmap = || deployment(BackendKind::Mmap);
+    let (w_map, r_map) = (
+        sweep::run(&row(Op::Write, &mmap)),
+        sweep::run(&row(Op::Read, &mmap)),
+    );
 
     for (name, samples) in [
         ("write/memory", &w_mem),
@@ -238,8 +130,8 @@ fn main() {
         SEG
     );
 
-    let wt = table("write", &w_mem, &w_map);
-    let rt = table("read", &r_mem, &r_map);
+    let wt = sweep::table(&[("memory", &w_mem), ("mmap", &w_map)], COPIES);
+    let rt = sweep::table(&[("memory", &r_mem), ("mmap", &r_map)], COPIES);
     blobseer_bench::emit(
         "pr4_write",
         "PR4 large-page write, memory vs mmap backend",
@@ -253,26 +145,18 @@ fn main() {
 
     // Headline: the persistence tax on writes, and read parity, as
     // geomean ratios across client counts.
-    let geo = |a: &[Sample], b: &[Sample]| -> f64 {
-        let logs: Vec<f64> = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| (y.mib_s / x.mib_s).ln())
-            .collect();
-        (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-    };
-    let write_ratio = geo(&w_mem, &w_map);
-    let read_ratio = geo(&r_mem, &r_map);
+    let write_ratio = sweep::geomean_ratio(&w_mem, &w_map);
+    let read_ratio = sweep::geomean_ratio(&r_mem, &r_map);
     println!(
         "\nmmap/memory throughput ratio (geomean): write {write_ratio:.3}, read {read_ratio:.3}"
     );
 
     let json = format!(
         "{{\n  \"bench\": \"pr4_backend\",\n  \"transport\": \"tcp-loopback\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"write\": {{\"memory\": {}, \"mmap\": {}}},\n  \"read\": {{\"memory\": {}, \"mmap\": {}}},\n  \"read_buf\": {{\"memory\": {{\"bytes_copied_per_op\": {rb_mem}}}, \"mmap\": {{\"bytes_copied_per_op\": {rb_map}}}}},\n  \"mmap_write_ratio_geomean\": {write_ratio:.3},\n  \"mmap_read_ratio_geomean\": {read_ratio:.3}\n}}\n",
-        json_series(&w_mem),
-        json_series(&w_map),
-        json_series(&r_mem),
-        json_series(&r_map),
+        sweep::json_series(&w_mem, COPIES),
+        sweep::json_series(&w_map, COPIES),
+        sweep::json_series(&r_mem, COPIES),
+        sweep::json_series(&r_map, COPIES),
     );
     std::fs::write("BENCH_PR4.json", &json).expect("write BENCH_PR4.json");
     println!("(json written to BENCH_PR4.json)");

@@ -27,13 +27,11 @@
 //! control-plane locks. The CI gate (`bench_gate`) then catches
 //! quieter drifts against the committed `BENCH_PR5.json`.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, PARITY};
+use blobseer_bench::{payload, MB};
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
-use blobseer_util::lockmeter;
-use blobseer_util::stats::Table;
-use std::sync::Arc;
 
 const PAGE: u64 = 256 * 1024; // large pages: the copy-bound regime
 const SEG_PAGES: u64 = 4; // 1 MiB per operation
@@ -48,14 +46,6 @@ const COMPACT_VERSIONS: u64 = 4;
 const COMPACT_READERS: usize = 4;
 const COMPACT_READ_OPS: u64 = 8;
 
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    copied_per_op: f64,
-    ser_per_op: f64,
-    va_per_op: f64,
-}
-
 fn deployment(fsync: bool) -> Deployment {
     let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS)
         .tune()
@@ -66,50 +56,19 @@ fn deployment(fsync: bool) -> Deployment {
     Deployment::build(cfg)
 }
 
-/// One write phase: `n` client threads, disjoint regions, over sockets,
-/// appends committed in the given mode.
-fn run_write(n: usize, fsync: bool) -> Sample {
-    let d = Arc::new(deployment(fsync));
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-
-    // Steady state means warm clients: geometry cached, roster loaded.
-    // Client spawn + first-open cost is startup, not the per-op lock
-    // profile this sweep gates on.
-    let clients: Vec<_> = (0..n)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    let locks = lockmeter::snapshot();
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for (t, c) in clients.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut ctx = Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let d_locks = locks.since();
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: d_locks.version_assign as f64 / ops,
+/// `n` client threads writing disjoint regions over sockets, appends
+/// committed in the deployment's mode.
+fn write_row(deploy: &(dyn Fn() -> Deployment + Sync)) -> Row<'_> {
+    Row {
+        deploy,
+        op: Op::Write,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
     }
 }
 
@@ -141,44 +100,33 @@ fn assert_invariants(name: &str, samples: &[Sample]) {
     }
 }
 
-struct ReadLeg {
-    mib_s: f64,
-    copied_per_op: f64,
-}
-
 /// Timed re-read of the latest version by `COMPACT_READERS` clients.
-fn read_leg(d: &Arc<Deployment>, blob: blobseer_proto::BlobId) -> ReadLeg {
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for t in 0..COMPACT_READERS {
-                let d = Arc::clone(d);
-                scope.spawn(move || {
-                    let c = d.client();
-                    let mut ctx = Ctx::start();
-                    let slots = COMPACT_REGION / SEG;
-                    let mut out = vec![0u8; SEG as usize];
-                    for i in 0..COMPACT_READ_OPS {
-                        let off = ((t as u64 + i * COMPACT_READERS as u64) % slots) * SEG;
-                        c.read_into(&mut ctx, blob, None, Segment::new(off, SEG), &mut out)
-                            .unwrap();
-                    }
-                });
+fn read_leg(d: &Deployment, blob: blobseer_proto::BlobId) -> Sample {
+    let clients = sweep::warm_clients(d, &mut Ctx::start(), blob, COMPACT_READERS);
+    sweep::closed_loop(
+        d,
+        Clock::Wall,
+        clients,
+        COMPACT_READ_OPS,
+        SEG,
+        |t, c, ctx| {
+            let slots = COMPACT_REGION / SEG;
+            let mut out = vec![0u8; SEG as usize];
+            for i in 0..COMPACT_READ_OPS {
+                let off = ((t as u64 + i * COMPACT_READERS as u64) % slots) * SEG;
+                c.read_into(ctx, blob, None, Segment::new(off, SEG), &mut out)
+                    .unwrap();
             }
-        });
-    });
-    let ops = (COMPACT_READERS as u64 * COMPACT_READ_OPS) as f64;
-    ReadLeg {
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-    }
+        },
+    )
 }
 
 struct CompactionOutcome {
     dead_bytes: u64,
     reclaimed_bytes: u64,
     fraction: f64,
-    pre: ReadLeg,
-    post: ReadLeg,
+    pre: Sample,
+    post: Sample,
 }
 
 /// Write → GC ¾ of the versions → read → compact → read.
@@ -191,7 +139,7 @@ fn run_compaction_leg() -> CompactionOutcome {
     // The sweep measures the *explicit* before/after; disable the
     // automatic trigger so GC's removes don't compact under us.
     cfg.log.compact_dead_ratio = 0.0;
-    let d = Arc::new(Deployment::build(cfg));
+    let d = Deployment::build(cfg);
     let setup = d.client();
     let mut ctx = Ctx::start();
     let blob = setup.alloc(&mut ctx, COMPACT_REGION, PAGE).unwrap().blob;
@@ -235,43 +183,6 @@ fn run_compaction_leg() -> CompactionOutcome {
     }
 }
 
-fn table(buffered: &[Sample], fsync: &[Sample]) -> Table {
-    let mut t = Table::new(&[
-        "clients",
-        "buffered MiB/s",
-        "fsync MiB/s",
-        "fsync cost",
-        "copied/op",
-        "ser/op",
-        "va/op",
-    ]);
-    for (b, f) in buffered.iter().zip(fsync) {
-        t.row(&[
-            b.clients.to_string(),
-            format!("{:.1}", b.mib_s),
-            format!("{:.1}", f.mib_s),
-            format!("{:.2}x", f.mib_s / b.mib_s),
-            format!("{:.0}", b.copied_per_op),
-            format!("{:.2}", b.ser_per_op),
-            format!("{:.2}", b.va_per_op),
-        ]);
-    }
-    t
-}
-
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}, \"serializing_locks_per_op\": {:.2}, \"version_assign_locks_per_op\": {:.2}}}",
-                s.clients, s.mib_s, s.copied_per_op, s.ser_per_op, s.va_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
-
 fn main() {
     println!(
         "pr5 durability benchmark: page={PAGE} seg={SEG} ops/client={OPS_PER_CLIENT} \
@@ -279,13 +190,13 @@ fn main() {
     );
 
     println!("\n-- commit mode: buffered (markers only)");
-    let buffered: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n, false)).collect();
+    let buffered = sweep::run(&write_row(&|| deployment(false)));
     println!("-- commit mode: fsync-on-commit (group-amortized fdatasync)");
-    let fsync: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n, true)).collect();
+    let fsync = sweep::run(&write_row(&|| deployment(true)));
     assert_invariants("write/buffered", &buffered);
     assert_invariants("write/fsync", &fsync);
 
-    let wt = table(&buffered, &fsync);
+    let wt = sweep::table(&[("buffered", &buffered), ("fsync", &fsync)], PARITY);
     blobseer_bench::emit(
         "pr5_write",
         "PR5 large-page write, buffered vs fsync-on-commit",
@@ -320,18 +231,13 @@ fn main() {
     );
 
     // Headline: the fsync tax as a geomean over the sweep.
-    let logs: Vec<f64> = buffered
-        .iter()
-        .zip(&fsync)
-        .map(|(b, f)| (f.mib_s / b.mib_s).ln())
-        .collect();
-    let fsync_ratio = (logs.iter().sum::<f64>() / logs.len() as f64).exp();
+    let fsync_ratio = sweep::geomean_ratio(&buffered, &fsync);
     println!("\nfsync/buffered write throughput ratio (geomean): {fsync_ratio:.3}");
 
     let json = format!(
         "{{\n  \"bench\": \"pr5_durability\",\n  \"transport\": \"tcp-loopback\",\n  \"backend\": \"mmap\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"write\": {{\"buffered\": {}, \"fsync\": {}}},\n  \"fsync_write_ratio_geomean\": {fsync_ratio:.3},\n  \"compaction\": {{\n    \"dead_bytes\": {},\n    \"reclaimed_bytes\": {},\n    \"dead_reclaimed_fraction\": {:.3},\n    \"read_pre\": {{\"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}}},\n    \"read_post\": {{\"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}}},\n    \"read_post_over_pre\": {post_over_pre:.3}\n  }}\n}}\n",
-        json_series(&buffered),
-        json_series(&fsync),
+        sweep::json_series(&buffered, PARITY),
+        sweep::json_series(&fsync, PARITY),
         comp.dead_bytes,
         comp.reclaimed_bytes,
         comp.fraction,

@@ -31,14 +31,14 @@
 //! the wire discipline anything. The CI gate (`bench_gate`) then
 //! catches quieter drifts against the committed `BENCH_PR6.json`.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, PARITY};
 use blobseer_core::{Deployment, DeploymentConfig};
 use blobseer_rpc::{
     parse_response, respond, Frame, ServerCtx, ServerMode, Service, TcpOptions, TcpTransport,
     Transport,
 };
+use blobseer_util::fdlimit;
 use blobseer_util::stats::Table;
-use blobseer_util::{fdlimit, lockmeter};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -246,55 +246,22 @@ fn run_sweep(mode: ServerMode, cells: &[usize], cap: usize) -> Vec<Cell> {
         .collect()
 }
 
-struct WriteParity {
-    mib_s: f64,
-    copied_per_op: f64,
-    ser_per_op: f64,
-    va_per_op: f64,
-}
-
 /// The distributed write path over the reactor transport: same copy and
 /// lock promises PR 1–5 made, now under the readiness loop.
-fn run_write_parity() -> WriteParity {
-    let d = Arc::new(Deployment::build(DeploymentConfig::functional_tcp(
-        PROVIDERS,
-    )));
-    let setup = d.client();
-    let mut ctx = blobseer_rpc::Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * WRITE_CLIENTS as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-    let clients: Vec<_> = (0..WRITE_CLIENTS)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    let locks = lockmeter::snapshot();
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for (t, c) in clients.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut ctx = blobseer_rpc::Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
+fn run_write_parity() -> Sample {
+    let deploy = || Deployment::build(DeploymentConfig::functional_tcp(PROVIDERS));
+    let mut cell = sweep::run(&Row {
+        deploy: &deploy,
+        op: Op::Write,
+        page: PAGE,
+        seg: SEG,
+        clients: &[WRITE_CLIENTS],
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
     });
-    let d_locks = locks.since();
-    let ops = (WRITE_CLIENTS as u64 * OPS_PER_CLIENT) as f64;
-    WriteParity {
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: d_locks.version_assign as f64 / ops,
-    }
+    cell.remove(0)
 }
 
 fn json_cells(cells: &[Cell]) -> String {
@@ -430,15 +397,10 @@ fn main() {
         "{{\n  \"bench\": \"pr6_reactor\",\n  \"transport\": \"tcp-loopback\",\n  \
          \"common_cell\": {COMMON_CELL},\n  \"sweep\": {{\"reactor\": {}, \"thread_per_conn\": {}}},\n  \
          \"reactor_over_thread_memory_ratio\": {mem_ratio:.3},\n  \
-         \"write_parity\": {{\"segment_bytes\": {SEG}, \"clients\": {WRITE_CLIENTS}, \
-         \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}, \"serializing_locks_per_op\": {:.2}, \
-         \"version_assign_locks_per_op\": {:.2}}}\n}}\n",
+         \"write_parity\": {{\"segment_bytes\": {SEG}, {}}}\n}}\n",
         json_cells(&reactor),
         json_cells(&thread),
-        w.mib_s,
-        w.copied_per_op,
-        w.ser_per_op,
-        w.va_per_op,
+        sweep::json_fields(&w, PARITY),
     );
     std::fs::write("BENCH_PR6.json", &json).expect("write BENCH_PR6.json");
     println!("(json written to BENCH_PR6.json)");

@@ -20,13 +20,12 @@
 //! recovered latest version end to end. Restart time is replay-bound
 //! and machine-dependent — advisory, like throughput.
 
-use blobseer_bench::{measure_region, payload, MB};
+use blobseer_bench::payload;
+use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, PARITY};
 use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
-use blobseer_util::lockmeter;
 use blobseer_util::stats::Table;
-use std::sync::Arc;
 use std::time::Instant;
 
 const PAGE: u64 = 256 * 1024; // large pages: the copy-bound regime
@@ -41,79 +40,20 @@ const READ_OPS: u64 = 8;
 /// Cold-restart leg: histories of this many 1 MiB publishes.
 const RESTART_VERSIONS: &[u64] = &[16, 64, 256];
 
-struct Sample {
-    clients: usize,
-    mib_s: f64,
-    copied_per_op: f64,
-    ser_per_op: f64,
-    va_per_op: f64,
-}
-
-fn deployment() -> Arc<Deployment> {
+fn deployment() -> Deployment {
     let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS)
         .tune()
         .backend(BackendKind::Mmap)
         .build();
     cfg.provider_capacity = u64::MAX; // mmap clamps to its log cap
-    Arc::new(Deployment::build(cfg))
-}
-
-/// One write phase: `n` client threads, disjoint regions, over sockets,
-/// every publish journaled write-ahead at the version manager and every
-/// tree-node batch journaled at its metadata provider.
-fn run_write(n: usize) -> Sample {
-    let d = deployment();
-    let setup = d.client();
-    let mut ctx = Ctx::start();
-    let region = SEG * OPS_PER_CLIENT;
-    let total = (region * n as u64).next_power_of_two();
-    let blob = setup.alloc(&mut ctx, total, PAGE).unwrap().blob;
-
-    // Steady state means warm clients: geometry cached, roster loaded.
-    let clients: Vec<_> = (0..n)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    let locks = lockmeter::snapshot();
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for (t, c) in clients.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut ctx = Ctx::start();
-                    let data = payload(SEG, t as u64);
-                    let base = region * t as u64;
-                    for i in 0..OPS_PER_CLIENT {
-                        c.write(&mut ctx, blob, base + i * SEG, &data).unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let d_locks = locks.since();
-    let ops = (n as u64 * OPS_PER_CLIENT) as f64;
-    Sample {
-        clients: n,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: d_locks.version_assign as f64 / ops,
-    }
+    Deployment::build(cfg)
 }
 
 /// Read parity: `READERS` clients re-reading the latest version of a
 /// freshly *restarted* cluster — the replayed serving path must meter
 /// exactly like the original one.
 fn run_read_after_restart() -> Sample {
-    let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS)
-        .tune()
-        .backend(BackendKind::Mmap)
-        .build();
-    cfg.provider_capacity = u64::MAX;
-    let mut d = Deployment::build(cfg);
+    let mut d = deployment();
     let setup = d.client();
     let mut ctx = Ctx::start();
     let region = SEG * (READERS as u64) * READ_OPS;
@@ -130,40 +70,16 @@ fn run_read_after_restart() -> Sample {
     // Steady state means warm clients here too: the first op per client
     // pulls geometry/roster under a (sanctioned, one-off) serializing
     // lock — pay it outside the measured region.
-    let clients: Vec<_> = (0..READERS)
-        .map(|_| {
-            let c = d.client();
-            c.info(&mut ctx, blob).unwrap();
-            c
-        })
-        .collect();
-
-    let locks = lockmeter::snapshot();
-    let m = measure_region(|| {
-        std::thread::scope(|scope| {
-            for (t, c) in clients.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let mut ctx = Ctx::start();
-                    let slots = region / SEG;
-                    let mut out = vec![0u8; SEG as usize];
-                    for i in 0..READ_OPS {
-                        let off = ((t as u64 + i * READERS as u64) % slots) * SEG;
-                        c.read_into(&mut ctx, blob, None, Segment::new(off, SEG), &mut out)
-                            .unwrap();
-                    }
-                });
-            }
-        });
-    });
-    let d_locks = locks.since();
-    let ops = (READERS as u64 * READ_OPS) as f64;
-    Sample {
-        clients: READERS,
-        mib_s: ops * SEG as f64 / MB as f64 / m.secs,
-        copied_per_op: m.bytes_copied as f64 / ops,
-        ser_per_op: d_locks.serializing as f64 / ops,
-        va_per_op: 0.0, // reads never assign versions
-    }
+    let clients = sweep::warm_clients(&d, &mut ctx, blob, READERS);
+    sweep::closed_loop(&d, Clock::Wall, clients, READ_OPS, SEG, |t, c, ctx| {
+        let slots = region / SEG;
+        let mut out = vec![0u8; SEG as usize];
+        for i in 0..READ_OPS {
+            let off = ((t as u64 + i * READERS as u64) % slots) * SEG;
+            c.read_into(ctx, blob, None, Segment::new(off, SEG), &mut out)
+                .unwrap();
+        }
+    })
 }
 
 struct RestartSample {
@@ -176,12 +92,7 @@ struct RestartSample {
 /// time the whole-cluster kill + reopen + replay, and verify the
 /// recovered latest end to end.
 fn run_restart(versions: u64) -> RestartSample {
-    let mut cfg = DeploymentConfig::functional_tcp(PROVIDERS)
-        .tune()
-        .backend(BackendKind::Mmap)
-        .build();
-    cfg.provider_capacity = u64::MAX;
-    let mut d = Deployment::build(cfg);
+    let mut d = deployment();
     let c = d.client();
     let mut ctx = Ctx::start();
     let total = (SEG * versions).next_power_of_two();
@@ -247,19 +158,6 @@ fn assert_invariants(name: &str, samples: &[Sample], writes: bool) {
     }
 }
 
-fn json_series(samples: &[Sample]) -> String {
-    let entries: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"clients\": {}, \"mib_s\": {:.2}, \"bytes_copied_per_op\": {:.0}, \"serializing_locks_per_op\": {:.2}, \"version_assign_locks_per_op\": {:.2}}}",
-                s.clients, s.mib_s, s.copied_per_op, s.ser_per_op, s.va_per_op
-            )
-        })
-        .collect();
-    format!("[{}]", entries.join(", "))
-}
-
 fn main() {
     println!(
         "pr7 restart benchmark: page={PAGE} seg={SEG} ops/client={OPS_PER_CLIENT} \
@@ -267,18 +165,21 @@ fn main() {
     );
 
     println!("\n-- steady-state write parity (journals on)");
-    let writes: Vec<Sample> = CLIENTS.iter().map(|&n| run_write(n)).collect();
+    // Every publish journaled write-ahead at the version manager and
+    // every tree-node batch journaled at its metadata provider.
+    let writes = sweep::run(&Row {
+        deploy: &deployment,
+        op: Op::Write,
+        page: PAGE,
+        seg: SEG,
+        clients: CLIENTS,
+        ops_per_client: OPS_PER_CLIENT,
+        layout: Layout::Disjoint,
+        reps: 1,
+        clock: Clock::Wall,
+    });
     assert_invariants("write/durable-control-plane", &writes, true);
-    let mut wt = Table::new(&["clients", "MiB/s", "copied/op", "ser/op", "va/op"]);
-    for s in &writes {
-        wt.row(&[
-            s.clients.to_string(),
-            format!("{:.1}", s.mib_s),
-            format!("{:.0}", s.copied_per_op),
-            format!("{:.2}", s.ser_per_op),
-            format!("{:.2}", s.va_per_op),
-        ]);
-    }
+    let wt = sweep::table(&[("durable", &writes)], PARITY);
     blobseer_bench::emit(
         "pr7_write",
         "PR7 large-page write with durable control plane",
@@ -316,8 +217,8 @@ fn main() {
         .collect();
     let json = format!(
         "{{\n  \"bench\": \"pr7_restart\",\n  \"transport\": \"tcp-loopback\",\n  \"backend\": \"mmap\",\n  \"page_size\": {PAGE},\n  \"segment_bytes\": {SEG},\n  \"ops_per_client\": {OPS_PER_CLIENT},\n  \"providers\": {PROVIDERS},\n  \"write\": {},\n  \"read_after_restart\": {},\n  \"restart\": [{}]\n}}\n",
-        json_series(&writes),
-        json_series(std::slice::from_ref(&read)),
+        sweep::json_series(&writes, PARITY),
+        sweep::json_series(std::slice::from_ref(&read), PARITY),
         restart_json.join(", "),
     );
     std::fs::write("BENCH_PR7.json", &json).expect("write BENCH_PR7.json");

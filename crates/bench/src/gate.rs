@@ -61,10 +61,11 @@ pub struct Advisory {
 pub struct Report {
     /// Hard failures (invariant columns exceeded).
     pub violations: Vec<Violation>,
-    /// Baseline paths holding invariant columns with **no counterpart**
+    /// Baseline paths holding a number with **no numeric counterpart**
     /// in the fresh run (dropped series, renamed key, missing sweep
-    /// point). Hard failures too: a bench that stopped emitting the
-    /// regressing column is not a passing bench.
+    /// point, vanished headline). Hard failures too: a bench that
+    /// stopped emitting a value is not a passing bench, whether or not
+    /// that value is gated.
     pub missing: Vec<String>,
     /// Advisory throughput deltas.
     pub advisories: Vec<Advisory>,
@@ -96,18 +97,14 @@ pub fn compare(baseline: &Json, fresh: &Json, tol: Tolerance) -> Report {
     report
 }
 
-/// Record every invariant column under a baseline subtree the fresh
-/// run no longer has — dropping the measurement must not pass the gate.
+/// Record every number under a baseline subtree the fresh run no
+/// longer has — dropping a measurement must not pass the gate.
 fn note_missing(baseline: &Json, path: &str, report: &mut Report) {
     match baseline {
+        Json::Num(_) => report.missing.push(path.to_string()),
         Json::Obj(fields) => {
             for (key, val) in fields {
-                let sub = format!("{path}.{key}");
-                if is_invariant_key(key) && val.as_f64().is_some() {
-                    report.missing.push(sub);
-                } else {
-                    note_missing(val, &sub, report);
-                }
+                note_missing(val, &format!("{path}.{key}"), report);
             }
         }
         Json::Arr(items) => {
@@ -123,26 +120,17 @@ fn walk(baseline: &Json, fresh: &Json, path: String, tol: Tolerance, report: &mu
     match (baseline, fresh) {
         (Json::Obj(b_fields), Json::Obj(_)) => {
             for (key, b_val) in b_fields {
-                let Some(f_val) = fresh.get(key) else {
-                    // The fresh run stopped emitting this column/series:
-                    // any invariant underneath it is a hard failure, not
-                    // a silent skip.
-                    let sub = if path.is_empty() {
-                        key.clone()
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    if is_invariant_key(key) && b_val.as_f64().is_some() {
-                        report.missing.push(sub);
-                    } else {
-                        note_missing(b_val, &sub, report);
-                    }
-                    continue;
-                };
                 let sub = if path.is_empty() {
                     key.clone()
                 } else {
                     format!("{path}.{key}")
+                };
+                let Some(f_val) = fresh.get(key) else {
+                    // The fresh run stopped emitting this value/series:
+                    // every number underneath it is a hard failure, not
+                    // a silent skip.
+                    note_missing(b_val, &sub, report);
+                    continue;
                 };
                 match (b_val.as_f64(), f_val.as_f64()) {
                     (Some(b), Some(f)) if is_invariant_key(key) => {
@@ -154,11 +142,6 @@ fn walk(baseline: &Json, fresh: &Json, path: String, tol: Tolerance, report: &mu
                                 fresh: f,
                             });
                         }
-                    }
-                    (Some(_), None) if is_invariant_key(key) => {
-                        // The column exists but is no longer a number —
-                        // the measurement is gone, not merely skipped.
-                        report.missing.push(sub);
                     }
                     (Some(b), Some(f)) if is_advisory_key(key) => {
                         report.advisories.push(Advisory {
@@ -187,16 +170,18 @@ fn walk(baseline: &Json, fresh: &Json, path: String, tol: Tolerance, report: &mu
                 };
                 let Some(f_item) = f_item else {
                     // A sweep point disappeared (e.g. the 64-client cell
-                    // where the cliff shows): its invariants hard-fail.
+                    // where the cliff shows): its numbers hard-fail.
                     note_missing(b_item, &label, report);
                     continue;
                 };
                 walk(b_item, f_item, label, tol, report);
             }
         }
-        // A baseline container whose fresh counterpart changed type
-        // (object -> null/string/…): every invariant underneath lost its
-        // measurement — hard failures, not silent skips.
+        // A baseline number whose fresh counterpart is no longer a
+        // number, or a baseline container whose fresh counterpart changed
+        // type (object -> null/string/…): every number underneath lost
+        // its measurement — hard failures, not silent skips.
+        (Json::Num(_), _) if fresh.as_f64().is_none() => note_missing(baseline, &path, report),
         (Json::Obj(_) | Json::Arr(_), _) => note_missing(baseline, &path, report),
         _ => {}
     }
@@ -288,8 +273,13 @@ mod tests {
         let f = Json::parse(r#"{"other": {"bytes_copied_per_op": 5}}"#).unwrap();
         let r = compare(&b, &f, Tolerance::default());
         assert!(r.violations.is_empty());
-        assert_eq!(r.missing.len(), 1, "{:?}", r.missing);
-        assert!(r.missing[0].contains("read.mmap"));
+        assert_eq!(
+            r.missing,
+            vec![
+                "read.mmap[0].clients".to_string(),
+                "read.mmap[0].bytes_copied_per_op".to_string()
+            ]
+        );
     }
 
     #[test]
@@ -301,8 +291,13 @@ mod tests {
         .unwrap();
         let f = Json::parse(r#"{"s": [{"clients": 1, "bytes_copied_per_op": 100}]}"#).unwrap();
         let r = compare(&b, &f, Tolerance::default());
-        assert_eq!(r.missing.len(), 1);
-        assert!(r.missing[0].contains("clients=64"));
+        assert_eq!(
+            r.missing,
+            vec![
+                "s[clients=64].clients".to_string(),
+                "s[clients=64].bytes_copied_per_op".to_string()
+            ]
+        );
     }
 
     #[test]
@@ -316,7 +311,7 @@ mod tests {
     #[test]
     fn type_changed_subtree_is_a_hard_failure() {
         // A fresh emitter that nulls out (or restructures) a series must
-        // not pass: every invariant under the baseline subtree counts as
+        // not pass: every number under the baseline subtree counts as
         // missing.
         let b = Json::parse(
             r#"{"write": {"mmap": [{"clients": 1, "bytes_copied_per_op": 100}]},
@@ -325,8 +320,44 @@ mod tests {
         .unwrap();
         let f = Json::parse(r#"{"write": null, "other": {"bytes_copied_per_op": 5}}"#).unwrap();
         let r = compare(&b, &f, Tolerance::default());
-        assert_eq!(r.missing.len(), 1, "{:?}", r.missing);
-        assert!(r.missing[0].contains("write.mmap"));
+        assert_eq!(
+            r.missing,
+            vec![
+                "write.mmap[0].clients".to_string(),
+                "write.mmap[0].bytes_copied_per_op".to_string()
+            ]
+        );
+    }
+
+    #[test]
+    fn dropped_advisory_and_headline_values_are_hard_failures() {
+        // Throughput, latency percentiles and headline ratios are not
+        // gated on their value, but a fresh run that stops emitting
+        // them has silently dropped a measurement.
+        let b = Json::parse(
+            r#"{"s": [{"clients": 1, "mib_s": 9.0, "read_p99_ms": 3.0,
+                       "bytes_copied_per_op": 100}],
+                "write_64_batched_over_per_op": 3.8,
+                "storm": {"read_p99_ms": 4.0, "shed": 12}}"#,
+        )
+        .unwrap();
+        let f = Json::parse(
+            r#"{"s": [{"clients": 1, "bytes_copied_per_op": 100}],
+                "storm": {"read_p99_ms": null}}"#,
+        )
+        .unwrap();
+        let r = compare(&b, &f, Tolerance::default());
+        assert!(r.violations.is_empty());
+        assert_eq!(
+            r.missing,
+            vec![
+                "s[clients=1].mib_s".to_string(),
+                "s[clients=1].read_p99_ms".to_string(),
+                "write_64_batched_over_per_op".to_string(),
+                "storm.read_p99_ms".to_string(),
+                "storm.shed".to_string(),
+            ]
+        );
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! per write. Writers that collide on a hot blob form a **grant group**:
 //! one leader acquires the mutex once and assigns a contiguous run of
 //! versions to the whole group ([`state::BlobState::request_version_grant`]),
-//! and the WAL flushes the group's publish records as one batch under
-//! one commit marker ([`wal::VersionLog::record_publish_grouped`]). The
+//! and the group's publish records ([`wal::VersionLog::record_publish`])
+//! ride the journal's group commit: every append completed before a
+//! commit leader's marker is sealed by that one marker. The
 //! steady-state `version_assign_locks_per_op` therefore drops to
 //! `1/group` under contention — the CI bench gate holds it below 1.0 at
 //! 16+ concurrent writers. For horizontal scale across *distinct* blobs,

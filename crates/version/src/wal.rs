@@ -44,10 +44,8 @@ use crate::recovery::{restore_with, snapshot};
 use crate::state::{RegistryConfig, VersionRegistry};
 use blobseer_proto::{BlobError, BlobId, Geometry, Segment, Version, WriteId};
 use blobseer_util::recordlog::{LogError, OwnedRecord, Record, RecordLog, RecordLogOptions};
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Magic of a blob-create record ("BSVRCRE1").
 pub const VERSION_CREATE_MAGIC: u64 = 0x4253_5652_4352_4531;
@@ -85,37 +83,11 @@ pub struct PublishEntry {
     pub seg: Segment,
 }
 
-/// One parked publisher in the WAL's grant-batching queue.
-struct PublishCell {
-    entry: PublishEntry,
-    slot: Mutex<Option<Result<(), BlobError>>>,
-    done: Condvar,
-}
-
-/// The publish combiner queue (same leading-flag discipline as the
-/// version grant queue in [`crate::state`]).
-struct PublishQueue {
-    pending: Vec<Arc<PublishCell>>,
-    leading: bool,
-}
-
 /// The version manager's write-ahead journal. See the module docs for
 /// the record format and replay rules.
+#[derive(Debug)]
 pub struct VersionLog {
     log: RecordLog,
-    /// Combine concurrent publish appends into one `BSVRPUB1` batch
-    /// under one commit marker (off in the per-op ablation).
-    batched: bool,
-    publishers: Mutex<PublishQueue>,
-}
-
-impl std::fmt::Debug for VersionLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionLog")
-            .field("log", &self.log)
-            .field("batched", &self.batched)
-            .finish_non_exhaustive()
-    }
 }
 
 impl VersionLog {
@@ -160,20 +132,7 @@ impl VersionLog {
             payload: &snap,
         }])
         .map_err(|e| log_err(dir, e))?;
-        Ok((
-            Self {
-                log,
-                batched: config.batched,
-                // lint: allow(unmetered-lock) — publish-combiner plumbing: held
-                // for queue push/take only, never across the append or fsync;
-                // the durable append itself is the engine's metered seam
-                publishers: Mutex::new(PublishQueue {
-                    pending: Vec::new(),
-                    leading: false,
-                }),
-            },
-            registry,
-        ))
+        Ok((Self { log }, registry))
     }
 
     /// Journal a blob creation. Must return before the blob id is
@@ -240,99 +199,6 @@ impl VersionLog {
             .append_batch(&records)
             .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
-    }
-
-    /// Journal one publication through the **publish combiner**: callers
-    /// that arrive while another append is in flight park on a queue,
-    /// and the leader flushes the whole group as one
-    /// [`record_publish_batch`](Self::record_publish_batch) — one commit
-    /// marker, one fsync, for N publications. The durability guarantee
-    /// is unchanged: this returns only once a commit marker covers the
-    /// caller's record (or with the batch's error, in which case nothing
-    /// in the batch is durable and no member may ack). With batching
-    /// disabled (the per-op ablation) this is plain
-    /// [`record_publish`](Self::record_publish).
-    pub fn record_publish_grouped(
-        &self,
-        blob: BlobId,
-        version: Version,
-        write: WriteId,
-        seg: &Segment,
-    ) -> Result<(), BlobError> {
-        let entry = PublishEntry {
-            blob,
-            version,
-            write,
-            seg: *seg,
-        };
-        if !self.batched {
-            return self.record_publish_batch(&[entry]);
-        }
-        let cell = {
-            // lint: allow(unmetered-lock) — publish-combiner queue push/leader
-            // election only, never held across the durable append
-            let mut q = self.publishers.lock();
-            if q.leading {
-                let cell = Arc::new(PublishCell {
-                    entry,
-                    // lint: allow(unmetered-lock) — parked publisher's handoff
-                    // slot; the durable work is metered at the engine's seam
-                    slot: Mutex::new(None),
-                    done: Condvar::new(),
-                });
-                q.pending.push(Arc::clone(&cell));
-                Some(cell)
-            } else {
-                q.leading = true;
-                None
-            }
-        };
-        if let Some(cell) = cell {
-            // lint: allow(unmetered-lock) — parked publisher's own handoff slot;
-            // the durable work is the leader's single batched append
-            let mut slot = cell.slot.lock();
-            while slot.is_none() {
-                cell.done.wait(&mut slot);
-            }
-            // lint: allow(panic-on-serving-path) — the wait loop above exits only
-            // once the slot is `Some`, so the take can never observe `None`
-            return slot.take().expect("slot filled before notify");
-        }
-        // Leader: flush rounds of (own entry + everyone queued) until
-        // the queue drains; release leadership only under the queue lock
-        // after an empty check, so no parked cell is stranded.
-        let mut own: Option<Result<(), BlobError>> = None;
-        loop {
-            let batch: Vec<Arc<PublishCell>> = {
-                // lint: allow(unmetered-lock) — combiner-queue drain/leadership
-                // release only, never held across the durable append
-                let mut q = self.publishers.lock();
-                if own.is_some() && q.pending.is_empty() {
-                    q.leading = false;
-                    break;
-                }
-                std::mem::take(&mut q.pending)
-            };
-            let mut entries: Vec<PublishEntry> = Vec::with_capacity(batch.len() + 1);
-            if own.is_none() {
-                entries.push(entry);
-            }
-            entries.extend(batch.iter().map(|c| c.entry));
-            let result = self.record_publish_batch(&entries);
-            if own.is_none() {
-                own = Some(result.clone());
-            }
-            for cell in &batch {
-                // lint: allow(unmetered-lock) — publisher handoff slot fill +
-                // notify; the durable work was the one batched append above
-                let mut slot = cell.slot.lock();
-                *slot = Some(result.clone());
-                cell.done.notify_one();
-            }
-        }
-        // lint: allow(panic-on-serving-path) — the loop cannot break until `own`
-        // is `Some` (the first flush always covers the leader's own entry)
-        own.expect("leader flushed its own entry")
     }
 
     /// Journal size in bytes.
@@ -801,41 +667,6 @@ mod tests {
             .request_version(WriteId(9), Segment::new(0, 1024))
             .unwrap();
         assert_eq!(t.version, 3, "dropped run is reissued");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn grouped_publish_combines_concurrent_callers() {
-        let dir = tmp_dir("grouped");
-        let blob;
-        {
-            let (wal, registry) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
-            let state = registry.create_blob(geom());
-            blob = state.blob;
-            wal.record_create(state.blob, &state.geom).unwrap();
-            let state = &state;
-            let wal = &wal;
-            std::thread::scope(|s| {
-                for w in 1..=16u64 {
-                    s.spawn(move || {
-                        let t = state
-                            .request_version(WriteId(w), Segment::new(0, 1024))
-                            .unwrap();
-                        wal.record_publish_grouped(
-                            state.blob,
-                            t.version,
-                            WriteId(w),
-                            &Segment::new(0, 1024),
-                        )
-                        .unwrap();
-                        state.complete_write(t.version).unwrap();
-                    });
-                }
-            });
-            assert_eq!(state.latest(), 16);
-        }
-        let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
-        assert_eq!(reg.get(blob).unwrap().latest(), 16);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
