@@ -7,7 +7,8 @@
 //! vs OFF, reporting metadata time and real message counts.
 
 use blobseer_bench::*;
-use blobseer_core::{Deployment, DeploymentConfig};
+use blobseer_core::{Deployment, DeploymentConfig, WriteOptions};
+use blobseer_proto::PageBuf;
 use blobseer_rpc::{AggregationPolicy, Ctx};
 use blobseer_util::stats::{OnlineStats, Table};
 
@@ -46,7 +47,13 @@ fn run(policy: AggregationPolicy, chatty: bool) -> Vec<(u64, f64, u64)> {
                 .unwrap();
             let before = d.cluster.message_count();
             let (_, wstats) = client
-                .write_with_stats(&mut ctx, info.blob, offset, &payload(seg_size, i))
+                .write_with(
+                    &mut ctx,
+                    info.blob,
+                    offset,
+                    PageBuf::from_vec(payload(seg_size, i)),
+                    &WriteOptions::default(),
+                )
                 .unwrap();
             msgs = d.cluster.message_count() - before;
             stats.push(wstats.metadata_ns() as f64);

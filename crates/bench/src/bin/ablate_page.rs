@@ -7,7 +7,8 @@
 //! reduce dispersion (fewer providers touched per access).
 
 use blobseer_bench::*;
-use blobseer_core::{Deployment, DeploymentConfig};
+use blobseer_core::{Deployment, DeploymentConfig, ReadOptions, WriteOptions};
+use blobseer_proto::PageBuf;
 use blobseer_rpc::Ctx;
 use blobseer_util::stats::Table;
 
@@ -34,16 +35,24 @@ fn main() {
             .unwrap();
 
         let (_, wstats) = client
-            .write_with_stats(&mut ctx, info.blob, 0, &payload(ACCESS, 2))
+            .write_with(
+                &mut ctx,
+                info.blob,
+                0,
+                PageBuf::from_vec(payload(ACCESS, 2)),
+                &WriteOptions::default(),
+            )
             .unwrap();
         let reader = d.client();
         let mut rctx = Ctx::at(d.cluster.horizon());
-        let (_, _, rstats) = reader
-            .read_with_stats(
+        let mut out = vec![0u8; ACCESS as usize];
+        let (_, rstats) = reader
+            .read_into_with(
                 &mut rctx,
                 info.blob,
-                None,
                 blobseer_proto::Segment::new(0, ACCESS),
+                &mut out,
+                &ReadOptions::default(),
             )
             .unwrap();
 

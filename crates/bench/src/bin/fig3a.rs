@@ -10,6 +10,7 @@
 //! (the client manages more connections).
 
 use blobseer_bench::*;
+use blobseer_core::ReadOptions;
 use blobseer_rpc::Ctx;
 use blobseer_util::stats::{OnlineStats, Table};
 
@@ -49,12 +50,14 @@ fn main() {
                 // the cluster's virtual-time horizon.
                 let reader = d.client();
                 let mut ctx = Ctx::at(d.cluster.horizon());
-                let (_, _, rstats) = reader
-                    .read_with_stats(
+                let mut out = vec![0u8; seg_size as usize];
+                let (_, rstats) = reader
+                    .read_into_with(
                         &mut ctx,
                         info.blob,
-                        None,
                         blobseer_proto::Segment::new(offset, seg_size),
+                        &mut out,
+                        &ReadOptions::default(),
                     )
                     .unwrap();
                 stats.push(rstats.metadata_ns() as f64);

@@ -9,6 +9,8 @@
 //! segments" (§V.C).
 
 use blobseer_bench::*;
+use blobseer_core::WriteOptions;
+use blobseer_proto::PageBuf;
 use blobseer_rpc::Ctx;
 use blobseer_util::stats::{OnlineStats, Table};
 
@@ -54,7 +56,13 @@ fn main() {
                     )
                     .unwrap();
                 let (_, wstats) = client
-                    .write_with_stats(&mut ctx, info.blob, offset, &payload(seg_size, i))
+                    .write_with(
+                        &mut ctx,
+                        info.blob,
+                        offset,
+                        PageBuf::from_vec(payload(seg_size, i)),
+                        &WriteOptions::default(),
+                    )
                     .unwrap();
                 stats.push(wstats.metadata_ns() as f64);
             }

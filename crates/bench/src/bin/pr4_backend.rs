@@ -22,7 +22,7 @@
 
 use blobseer_bench::payload;
 use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, COPIES};
-use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
+use blobseer_core::{BackendKind, Deployment, DeploymentConfig, ReadOptions};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::copymeter;
@@ -70,7 +70,12 @@ fn run_read_buf_copies(backend: BackendKind) -> u64 {
     c.write(&mut ctx, blob, 0, &payload(SEG, 9)).unwrap();
     let before = copymeter::snapshot();
     let (page, _) = c
-        .read_buf(&mut ctx, blob, None, Segment::new(0, PAGE))
+        .read_buf(
+            &mut ctx,
+            blob,
+            Segment::new(0, PAGE),
+            &ReadOptions::default(),
+        )
         .unwrap();
     assert_eq!(page.len() as u64, PAGE);
     before.bytes_since()

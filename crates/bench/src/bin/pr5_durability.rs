@@ -29,7 +29,7 @@
 
 use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, PARITY};
 use blobseer_bench::{payload, MB};
-use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
+use blobseer_core::{BackendKind, Deployment, DeploymentConfig, ReadOptions};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 
@@ -114,8 +114,14 @@ fn read_leg(d: &Deployment, blob: blobseer_proto::BlobId) -> Sample {
             let mut out = vec![0u8; SEG as usize];
             for i in 0..COMPACT_READ_OPS {
                 let off = ((t as u64 + i * COMPACT_READERS as u64) % slots) * SEG;
-                c.read_into(ctx, blob, None, Segment::new(off, SEG), &mut out)
-                    .unwrap();
+                c.read_into_with(
+                    ctx,
+                    blob,
+                    Segment::new(off, SEG),
+                    &mut out,
+                    &ReadOptions::default(),
+                )
+                .unwrap();
             }
         },
     )

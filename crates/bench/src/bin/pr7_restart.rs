@@ -22,7 +22,7 @@
 
 use blobseer_bench::payload;
 use blobseer_bench::sweep::{self, Clock, Layout, Op, Row, Sample, PARITY};
-use blobseer_core::{BackendKind, Deployment, DeploymentConfig};
+use blobseer_core::{BackendKind, Deployment, DeploymentConfig, ReadOptions};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::stats::Table;
@@ -76,8 +76,14 @@ fn run_read_after_restart() -> Sample {
         let mut out = vec![0u8; SEG as usize];
         for i in 0..READ_OPS {
             let off = ((t as u64 + i * READERS as u64) % slots) * SEG;
-            c.read_into(ctx, blob, None, Segment::new(off, SEG), &mut out)
-                .unwrap();
+            c.read_into_with(
+                ctx,
+                blob,
+                Segment::new(off, SEG),
+                &mut out,
+                &ReadOptions::default(),
+            )
+            .unwrap();
         }
     })
 }

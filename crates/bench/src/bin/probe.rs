@@ -2,7 +2,7 @@
 //! under 1 vs N concurrent clients.
 
 use blobseer_bench::*;
-use blobseer_core::{Deployment, DeploymentConfig};
+use blobseer_core::{Deployment, DeploymentConfig, ReadOptions};
 use blobseer_rpc::Ctx;
 use std::sync::Arc;
 
@@ -36,9 +36,12 @@ fn run(n_clients: usize) {
                     .unwrap();
                 let t0 = ctx.vt;
                 let (mut lat, mut meta, mut data) = (0u64, 0u64, 0u64);
+                let mut out = vec![0u8; SEG as usize];
                 for i in 0..ITERS {
                     let seg = disjoint_segment(0, REGION, SEG, k as u64 * ITERS + i);
-                    let (_, _, st) = client.read_with_stats(&mut ctx, blob, None, seg).unwrap();
+                    let (_, st) = client
+                        .read_into_with(&mut ctx, blob, seg, &mut out, &ReadOptions::default())
+                        .unwrap();
                     lat += st.latest_ns;
                     meta += st.meta_ns;
                     data += st.data_ns;

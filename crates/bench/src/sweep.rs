@@ -22,7 +22,7 @@
 //!   curve measures contention, nothing else.
 
 use crate::{measure_region, payload, MB};
-use blobseer_core::{BlobClient, Deployment};
+use blobseer_core::{BlobClient, Deployment, ReadOptions};
 use blobseer_proto::{BlobId, Segment};
 use blobseer_rpc::Ctx;
 use blobseer_util::lockmeter;
@@ -33,7 +33,8 @@ use blobseer_util::stats::Table;
 pub enum Op {
     /// `BlobClient::write` of one segment.
     Write,
-    /// `BlobClient::read_into` of one segment into a reused buffer.
+    /// `BlobClient::read_into_with` (default options) of one segment
+    /// into a reused buffer.
     Read,
 }
 
@@ -166,7 +167,7 @@ fn run_once(row: &Row<'_>, n: usize) -> Sample {
                 let mut out = vec![0u8; row.seg as usize];
                 for i in 0..row.ops_per_client {
                     let seg = Segment::new(row.offset(t, i), row.seg);
-                    c.read_into(ctx, blob, None, seg, &mut out)
+                    c.read_into_with(ctx, blob, seg, &mut out, &ReadOptions::default())
                         .expect("sweep read");
                 }
             }

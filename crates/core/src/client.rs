@@ -12,6 +12,23 @@
 //!   border links from the version manager → metadata built **in
 //!   isolation** → batched metadata puts → completion report.
 //!
+//! The data path has one entry point per data source or destination,
+//! each with its own page-copy count (pinned by the copy-discipline
+//! tests in `crates/core/tests/`):
+//!
+//! | method | payload | copies | returns |
+//! |---|---|---|---|
+//! | [`write`](BlobClient::write) | borrowed slice | 1 | `vw` |
+//! | [`write_with`](BlobClient::write_with) | shared [`PageBuf`] + [`WriteOptions`] | 0 | `vw` + [`WriteStats`] |
+//! | [`write_unaligned`](BlobClient::write_unaligned) | borrowed slice, any offset | read-modify-write | `vw` |
+//! | [`read`](BlobClient::read) | owned `Vec` | 1 per page | bytes + `vr` |
+//! | [`read_into_with`](BlobClient::read_into_with) | caller's buffer + [`ReadOptions`] | 1 per page | `vr` + [`ReadStats`] |
+//! | [`read_buf`](BlobClient::read_buf) | [`PageBuf`] + [`ReadOptions`] | 0 for one aligned page | buffer + `vr` |
+//!
+//! `write_with` is the one write pipeline; the three reads share one
+//! resolve step (retry loop, version resolution, tree descent, page
+//! fetch) and differ only in how they assemble.
+//!
 //! The client charges its own per-node processing costs (deserialization,
 //! tree descent, buffer stitching) to the virtual clock — the paper notes
 //! "the main limiting factor is actually the performance of the client's
@@ -99,16 +116,15 @@ impl ReadStats {
     }
 }
 
-/// The resolved pieces of one READ, ready for assembly. `pieces` is
-/// `None` for a version-0 (all-zero) read; otherwise it holds the zero
+/// The resolved pieces of one READ, ready for assembly: the zero
 /// ranges and the fetched pages (shared buffers) with their clipped
 /// blob ranges.
 struct ReadPlan {
     geom: Geometry,
     latest: Version,
     stats: ReadStats,
-    #[allow(clippy::type_complexity)]
-    pieces: Option<(Vec<Segment>, Vec<(PageLoc, Segment, PageBuf)>)>,
+    zeros: Vec<Segment>,
+    pages: Vec<(PageLoc, Segment, PageBuf)>,
 }
 
 /// A client of the blob store. One instance per logical client process;
@@ -318,7 +334,7 @@ impl BlobClient {
     /// The buffer is copied **once** into a shared [`PageBuf`]; page
     /// splitting, replica fan-out, framing and batching all share that
     /// single allocation. Callers that already hold a `PageBuf` should
-    /// use [`BlobClient::write_buf`], which performs zero copies.
+    /// use [`BlobClient::write_with`], which performs zero copies.
     pub fn write(
         &self,
         ctx: &mut Ctx,
@@ -326,75 +342,18 @@ impl BlobClient {
         offset: u64,
         data: &[u8],
     ) -> Result<Version, BlobError> {
-        Ok(self.write_with_stats(ctx, blob, offset, data)?.0)
+        let buf = PageBuf::copy_from_slice(data);
+        self.write_with(ctx, blob, offset, buf, &WriteOptions::default())
+            .map(|(v, _)| v)
     }
 
-    /// Zero-copy `WRITE`: the caller's buffer is shared, never copied.
-    pub fn write_buf(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-    ) -> Result<Version, BlobError> {
-        Ok(self.write_buf_with_stats(ctx, blob, offset, data)?.0)
-    }
-
-    /// Canonical `WRITE` entry point: zero-copy buffer plus
-    /// [`WriteOptions`] (retry override for the idempotent page puts,
-    /// admission deadline). The other write methods are thin forwards.
-    pub fn write_buf_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-        opts: &WriteOptions,
-    ) -> Result<Version, BlobError> {
-        Ok(self.write_buf_stats_with(ctx, blob, offset, data, opts)?.0)
-    }
-
-    /// [`BlobClient::write_buf_with`] for a borrowed slice (one metered
-    /// copy into a shared [`PageBuf`], like [`BlobClient::write`]).
+    /// The write pipeline, and the zero-copy `WRITE`: the caller's
+    /// buffer is shared, never copied. Plan → page puts (idempotent,
+    /// retried under `opts`) → version ticket → metadata → publish
+    /// (never retried). Returns `vw` and the per-phase virtual-time
+    /// breakdown — the instrument behind Figure 3(b), which reports the
+    /// *metadata* share of a write.
     pub fn write_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: &[u8],
-        opts: &WriteOptions,
-    ) -> Result<Version, BlobError> {
-        self.write_buf_with(ctx, blob, offset, PageBuf::copy_from_slice(data), opts)
-    }
-
-    /// [`BlobClient::write`] with per-phase virtual-time breakdown — the
-    /// instrument behind Figure 3(b), which reports the *metadata* share
-    /// of a write.
-    pub fn write_with_stats(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_buf_with_stats(ctx, blob, offset, PageBuf::copy_from_slice(data))
-    }
-
-    /// [`BlobClient::write_buf`] with per-phase breakdown.
-    pub fn write_buf_with_stats(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        offset: u64,
-        data: PageBuf,
-    ) -> Result<(Version, WriteStats), BlobError> {
-        self.write_buf_stats_with(ctx, blob, offset, data, &WriteOptions::default())
-    }
-
-    /// The full write pipeline: plan → page puts (idempotent, retried
-    /// under `opts`) → version ticket → metadata → publish (never
-    /// retried), with the per-phase breakdown.
-    pub fn write_buf_stats_with(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
@@ -605,42 +564,17 @@ impl BlobClient {
             version,
             ..ReadOptions::default()
         };
-        self.read_with(ctx, blob, seg, &opts)
-    }
-
-    /// Canonical `READ` entry point: segment plus [`ReadOptions`]
-    /// (version pin, retry override, admission deadline). The other
-    /// read methods are thin forwards.
-    pub fn read_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        opts: &ReadOptions,
-    ) -> Result<(Vec<u8>, Version), BlobError> {
-        let (data, latest, _) = self.read_stats_with(ctx, blob, seg, opts)?;
-        Ok((data, latest))
+        let plan = self.resolve(ctx, blob, seg, &opts)?;
+        let buf = assemble_read(&plan.geom, &seg, &plan.zeros, &plan.pages)?;
+        Ok((buf, plan.latest))
     }
 
     /// Scatter-assembling `READ` into a caller-provided buffer of exactly
-    /// `seg.size` bytes: each page is copied exactly once, directly into
-    /// `out`; no intermediate result buffer exists.
-    pub fn read_into(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        version: Option<Version>,
-        seg: Segment,
-        out: &mut [u8],
-    ) -> Result<Version, BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_into_with(ctx, blob, seg, out, &opts)
-    }
-
-    /// [`BlobClient::read_into`] with [`ReadOptions`].
+    /// `seg.size` bytes, under [`ReadOptions`] (version pin, retry
+    /// override, admission deadline): each page is copied exactly once,
+    /// directly into `out`; no intermediate result buffer exists.
+    /// Returns `vr` and the virtual-time breakdown — the instrument
+    /// behind Figure 3(a), which reports the *metadata* share of a read.
     pub fn read_into_with(
         &self,
         ctx: &mut Ctx,
@@ -648,22 +582,16 @@ impl BlobClient {
         seg: Segment,
         out: &mut [u8],
         opts: &ReadOptions,
-    ) -> Result<Version, BlobError> {
+    ) -> Result<(Version, ReadStats), BlobError> {
         if out.len() as u64 != seg.size {
             return Err(BlobError::BadSegment {
                 segment: seg,
                 reason: "buffer size mismatch",
             });
         }
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
-        match plan.pieces {
-            None => out.fill(0),
-            Some((zeros, pages)) => {
-                let geom = plan.geom;
-                assemble_read_into(&geom, &seg, &zeros, &pages, out)?;
-            }
-        }
-        Ok(plan.latest)
+        let plan = self.resolve(ctx, blob, seg, opts)?;
+        assemble_read_into(&plan.geom, &seg, &plan.zeros, &plan.pages, out)?;
+        Ok((plan.latest, plan.stats))
     }
 
     /// Zero-copy `READ` of a single-page-aligned segment: returns the
@@ -675,89 +603,28 @@ impl BlobClient {
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
-        version: Option<Version>,
-        seg: Segment,
-    ) -> Result<(PageBuf, Version), BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_buf_with(ctx, blob, seg, &opts)
-    }
-
-    /// [`BlobClient::read_buf`] with [`ReadOptions`].
-    pub fn read_buf_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
         seg: Segment,
         opts: &ReadOptions,
     ) -> Result<(PageBuf, Version), BlobError> {
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
-        let geom = plan.geom;
-        match plan.pieces {
-            None => Ok((PageBuf::zeroed(seg.size as usize), plan.latest)),
-            Some((zeros, pages)) => {
-                // Fast path: the read is exactly one whole page.
-                if zeros.is_empty()
-                    && pages.len() == 1
-                    && seg.size == geom.page_size
-                    && seg.offset.is_multiple_of(geom.page_size)
-                {
-                    let (_, blob_range, data) = &pages[0];
-                    if *blob_range == seg && data.len() as u64 == geom.page_size {
-                        return Ok((data.clone(), plan.latest));
-                    }
-                }
-                let buf = assemble_read(&geom, &seg, &zeros, &pages)?;
-                Ok((PageBuf::from_vec(buf), plan.latest))
+        let plan = self.resolve(ctx, blob, seg, opts)?;
+        let page_size = plan.geom.page_size;
+        // Fast path: the read is exactly one whole page (a leaf's range
+        // equals `seg` only when `seg` lies inside that one page).
+        if let ([], [(_, blob_range, data)]) = (&plan.zeros[..], &plan.pages[..]) {
+            if *blob_range == seg && seg.size == page_size && data.len() as u64 == page_size {
+                return Ok((data.clone(), plan.latest));
             }
         }
+        let buf = assemble_read(&plan.geom, &seg, &plan.zeros, &plan.pages)?;
+        Ok((PageBuf::from_vec(buf), plan.latest))
     }
 
-    /// [`BlobClient::read`] with a virtual-time breakdown — the instrument
-    /// behind Figure 3(a), which reports the *metadata* share of a read.
-    pub fn read_with_stats(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        version: Option<Version>,
-        seg: Segment,
-    ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
-        let opts = ReadOptions {
-            version,
-            ..ReadOptions::default()
-        };
-        self.read_stats_with(ctx, blob, seg, &opts)
-    }
-
-    /// [`BlobClient::read_with_stats`] with [`ReadOptions`].
-    pub fn read_stats_with(
-        &self,
-        ctx: &mut Ctx,
-        blob: BlobId,
-        seg: Segment,
-        opts: &ReadOptions,
-    ) -> Result<(Vec<u8>, Version, ReadStats), BlobError> {
-        let plan = self.read_plan_with(ctx, blob, seg, opts)?;
-        let stats = plan.stats;
-        let latest = plan.latest;
-        match plan.pieces {
-            None => Ok((vec![0u8; seg.size as usize], latest, stats)),
-            Some((zeros, pages)) => {
-                let geom = plan.geom;
-                let buf = assemble_read(&geom, &seg, &zeros, &pages)?;
-                Ok((buf, latest, stats))
-            }
-        }
-    }
-
-    /// [`BlobClient::read_plan`] under the retry loop: reads are
-    /// idempotent end to end, so a shed or unreachable attempt is
-    /// replayed whole under the effective policy (per-call override,
+    /// The resolve step the three reads share, under the retry loop:
+    /// reads are idempotent end to end, so a shed or unreachable attempt
+    /// is replayed whole under the effective policy (per-call override,
     /// else the client default) until it succeeds, the policy caps out,
     /// or the `deadline_ms` budget is spent.
-    fn read_plan_with(
+    fn resolve(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
@@ -768,7 +635,7 @@ impl BlobClient {
         let t0 = ctx.vt;
         let mut attempt = 0u32;
         loop {
-            match self.read_plan(ctx, blob, opts.version, seg) {
+            match self.resolve_once(ctx, blob, opts.version, seg) {
                 Ok(plan) => return Ok(plan),
                 Err(e) => {
                     if self
@@ -783,10 +650,10 @@ impl BlobClient {
         }
     }
 
-    /// The shared READ engine: version resolution, cached level-by-level
+    /// One resolve attempt: version resolution, cached level-by-level
     /// tree descent, parallel page fetches. Returns the pieces for the
-    /// caller to assemble (`None` pieces = version-0 all-zero read).
-    fn read_plan(
+    /// caller to assemble.
+    fn resolve_once(
         &self,
         ctx: &mut Ctx,
         blob: BlobId,
@@ -811,6 +678,7 @@ impl BlobClient {
             Some(v) => v,
         };
         if v == 0 {
+            // Nothing was ever written: one zero range, no pages.
             let stats = ReadStats {
                 latest_ns: t_latest - t0,
                 meta_ns: 0,
@@ -821,7 +689,8 @@ impl BlobClient {
                 geom,
                 latest,
                 stats,
-                pieces: None,
+                zeros: vec![seg],
+                pages: Vec::new(),
             });
         }
 
@@ -894,7 +763,8 @@ impl BlobClient {
             geom,
             latest,
             stats,
-            pieces: Some((zeros, pages)),
+            zeros,
+            pages,
         })
     }
 

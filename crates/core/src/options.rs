@@ -1,10 +1,13 @@
 //! Per-call option structs for the [`BlobClient`](crate::BlobClient)
 //! read/write entry points.
 //!
-//! Instead of multiplying method variants (`read`, `read_into`,
-//! `read_buf`, `read_with_stats`, each times every knob), the canonical
-//! entry points `read_with` / `write_with` take one options struct with
-//! a [`Default`]; the historical signatures survive as thin forwards.
+//! Instead of multiplying method variants per knob, the entry points
+//! that take options ([`write_with`](crate::BlobClient::write_with),
+//! [`read_into_with`](crate::BlobClient::read_into_with) and
+//! [`read_buf`](crate::BlobClient::read_buf)) take one options struct
+//! with a [`Default`]. [`write`](crate::BlobClient::write) and
+//! [`read`](crate::BlobClient::read) are the paper's plain `WRITE` and
+//! `READ` and use the defaults (a version pin is `read`'s one knob).
 
 use blobseer_proto::Version;
 use blobseer_rpc::RetryPolicy;

@@ -1,9 +1,10 @@
 //! Copy-accounting parity for the persistent provider backend: with
 //! `BackendKind::Mmap` over `TransportKind::Tcp`, the payload leg must
-//! meter **exactly** what the in-memory backend meters — write = 1 copy
-//! of the caller's slice (the sanctioned client-side copy; appending to
-//! the page log is positioned kernel I/O, not a memcpy), read = 1 copy
-//! per page into the result, aligned single-page `read_buf` = 0 extra.
+//! meter **exactly** what the in-memory backend meters — `write` = 1
+//! copy of the caller's slice (the sanctioned client-side copy;
+//! appending to the page log is positioned kernel I/O, not a memcpy),
+//! `read_into_with` = 1 copy per page into the caller's buffer, aligned
+//! single-page `read_buf` = 0 extra.
 //! Serving a page out of the mapped log is a refcount bump on the
 //! mapping — if the provider copied, the read legs would show it.
 //!
@@ -11,7 +12,7 @@
 //! worker threads, so the measurements use the process-global copy
 //! meters (one test function, nothing else to pollute them).
 
-use blobseer_core::{BackendKind, Deployment, DeploymentConfig, TransportKind};
+use blobseer_core::{BackendKind, Deployment, DeploymentConfig, ReadOptions, TransportKind};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::copymeter;
@@ -43,14 +44,25 @@ fn measure(transport: TransportKind, backend: BackendKind) -> (u64, u64, u64) {
 
     let mut out = vec![0u8; SEG as usize];
     let before = copymeter::snapshot();
-    c.read_into(&mut ctx, info.blob, Some(1), Segment::new(0, SEG), &mut out)
-        .unwrap();
+    c.read_into_with(
+        &mut ctx,
+        info.blob,
+        Segment::new(0, SEG),
+        &mut out,
+        &ReadOptions::at_version(1),
+    )
+    .unwrap();
     let read_copied = before.bytes_since();
     assert_eq!(out, data);
 
     let before = copymeter::snapshot();
     let (page, _) = c
-        .read_buf(&mut ctx, info.blob, Some(1), Segment::new(0, PAGE))
+        .read_buf(
+            &mut ctx,
+            info.blob,
+            Segment::new(0, PAGE),
+            &ReadOptions::at_version(1),
+        )
         .unwrap();
     let read_buf_copied = before.bytes_since();
     assert_eq!(&page[..], &data[..PAGE as usize]);
@@ -99,7 +111,12 @@ fn mmap_backend_meters_identically_to_memory() {
     let data: Vec<u8> = (0..SEG).map(|i| (i % 239) as u8).collect();
     c.write(&mut ctx, info.blob, 0, &data).unwrap();
     let (page, _) = c
-        .read_buf(&mut ctx, info.blob, Some(1), Segment::new(0, PAGE))
+        .read_buf(
+            &mut ctx,
+            info.blob,
+            Segment::new(0, PAGE),
+            &ReadOptions::at_version(1),
+        )
         .unwrap();
     assert_eq!(&page[..], &data[..PAGE as usize]);
     #[cfg(unix)]

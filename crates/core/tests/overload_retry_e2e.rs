@@ -11,7 +11,7 @@
 //!   retry budget.
 
 use blobseer_core::{Deployment, DeploymentConfig, FanOutOptions, ReadOptions, WriteOptions};
-use blobseer_proto::{BlobError, Segment};
+use blobseer_proto::{BlobError, PageBuf, Segment};
 use blobseer_rpc::{Ctx, RetryPolicy};
 use std::time::{Duration, Instant};
 
@@ -146,11 +146,15 @@ fn idempotent_reads_retry_through_an_outage() {
         ..RetryPolicy::default()
     });
     let (got, latest) = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &opts)
+        .read_buf(&mut ctx, info.blob, seg(0, PAGE), &opts)
         .unwrap();
     reviver.join().unwrap();
     assert_eq!(latest, 1);
-    assert_eq!(got, data, "read is replayed whole and stays correct");
+    assert_eq!(
+        &got[..],
+        &data[..],
+        "read is replayed whole and stays correct"
+    );
 }
 
 #[test]
@@ -176,7 +180,7 @@ fn publish_legs_never_retry_even_with_a_policy_set() {
             &mut ctx,
             info.blob,
             0,
-            &vec![1u8; PAGE as usize],
+            PageBuf::from_vec(vec![1u8; PAGE as usize]),
             &WriteOptions::with_retry(glacial()),
         )
         .unwrap_err();
@@ -208,7 +212,7 @@ fn read_deadline_caps_the_retry_budget() {
     };
     let t0 = Instant::now();
     let err = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &opts)
+        .read_buf(&mut ctx, info.blob, seg(0, PAGE), &opts)
         .unwrap_err();
     assert!(matches!(err, BlobError::Unreachable(_)), "{err:?}");
     assert!(
@@ -231,25 +235,25 @@ fn read_options_pin_versions_exactly() {
 
     // Pinned read returns the pinned snapshot, and reports the latest.
     let (got, latest) = c
-        .read_with(
+        .read_buf(
             &mut ctx,
             info.blob,
             seg(0, PAGE),
             &ReadOptions::at_version(1),
         )
         .unwrap();
-    assert_eq!((got, latest), (v1, 2));
+    assert_eq!((got.to_vec(), latest), (v1, 2));
 
     // Default options read the latest snapshot.
     let (got, latest) = c
-        .read_with(&mut ctx, info.blob, seg(0, PAGE), &ReadOptions::default())
+        .read_buf(&mut ctx, info.blob, seg(0, PAGE), &ReadOptions::default())
         .unwrap();
-    assert_eq!((got, latest), (v2, 2));
+    assert_eq!((got.to_vec(), latest), (v2, 2));
 
     // Pinning an unpublished version is a typed refusal, not a wait —
     // and it is not retryable, so a policy never spins on it.
     let err = c
-        .read_with(
+        .read_buf(
             &mut ctx,
             info.blob,
             seg(0, PAGE),

@@ -2,15 +2,18 @@
 //! TCP transport: the payload leg must meter the **same byte counts**
 //! over a socket as it does in process — send side gather-writes with
 //! zero flatten copies, receive side lends payloads out of the receive
-//! buffer by refcount. Plus the negative control: the flatten-write
-//! ablation reintroduces one body copy per frame and the meter shows it.
+//! buffer by refcount. The legs are `write` (1 copy of the caller's
+//! slice), `read_into_with` (1 copy per page) and an aligned
+//! single-page `read_buf` (0 copies). Plus the negative control: the
+//! flatten-write ablation reintroduces one body copy per frame and the
+//! meter shows it.
 //!
 //! Lives in its own test binary because TCP dispatch happens on server
 //! worker threads, so the measurements use the process-global copy
 //! meters (thread-local meters, which `zero_copy.rs` uses for the
 //! inline-dispatch transports, cannot see the worker side).
 
-use blobseer_core::{Deployment, DeploymentConfig, TransportKind};
+use blobseer_core::{Deployment, DeploymentConfig, ReadOptions, TransportKind};
 use blobseer_proto::Segment;
 use blobseer_rpc::Ctx;
 use blobseer_util::copymeter;
@@ -38,14 +41,25 @@ fn measure(kind: TransportKind) -> (u64, u64, u64) {
 
     let mut out = vec![0u8; SEG as usize];
     let before = copymeter::snapshot();
-    c.read_into(&mut ctx, info.blob, Some(1), Segment::new(0, SEG), &mut out)
-        .unwrap();
+    c.read_into_with(
+        &mut ctx,
+        info.blob,
+        Segment::new(0, SEG),
+        &mut out,
+        &ReadOptions::at_version(1),
+    )
+    .unwrap();
     let read_copied = before.bytes_since();
     assert_eq!(out, data);
 
     let before = copymeter::snapshot();
     let (page, _) = c
-        .read_buf(&mut ctx, info.blob, Some(1), Segment::new(0, PAGE))
+        .read_buf(
+            &mut ctx,
+            info.blob,
+            Segment::new(0, PAGE),
+            &ReadOptions::at_version(1),
+        )
         .unwrap();
     let read_buf_copied = before.bytes_since();
     assert_eq!(&page[..], &data[..PAGE as usize]);

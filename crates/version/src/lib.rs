@@ -51,4 +51,4 @@ pub use history::ConcurrentHistory;
 pub use publish::{PublishWindow, DEFAULT_WINDOW};
 pub use recovery::{restore, restore_with, snapshot, BlobSnapshot};
 pub use state::{BlobState, RegistryConfig, VersionGrant, VersionRegistry, WriteRecord};
-pub use wal::{PublishEntry, VersionLog};
+pub use wal::VersionLog;

@@ -70,19 +70,6 @@ fn log_err(path: &Path, e: LogError) -> BlobError {
     }
 }
 
-/// One publish to journal: `(blob, version, write, segment)`.
-#[derive(Clone, Copy, Debug)]
-pub struct PublishEntry {
-    /// The blob the write patched.
-    pub blob: BlobId,
-    /// The version being published.
-    pub version: Version,
-    /// The write id its pages were stored under.
-    pub write: WriteId,
-    /// The patched segment.
-    pub seg: Segment,
-}
-
 /// The version manager's write-ahead journal. See the module docs for
 /// the record format and replay rules.
 #[derive(Debug)]
@@ -159,44 +146,17 @@ impl VersionLog {
         write: WriteId,
         seg: &Segment,
     ) -> Result<(), BlobError> {
-        self.record_publish_batch(&[PublishEntry {
-            blob,
-            version,
-            write,
-            seg: *seg,
-        }])
-    }
-
-    /// Journal a batch of publications contiguously under **one** commit
-    /// marker (one optional fsync): the durability half of a version
-    /// grant. All-or-nothing — on error no entry is durable, so no
-    /// member of the grant may be acknowledged.
-    pub fn record_publish_batch(&self, entries: &[PublishEntry]) -> Result<(), BlobError> {
-        if entries.is_empty() {
-            return Ok(());
-        }
-        let payloads: Vec<[u8; 16]> = entries
-            .iter()
-            .map(|e| {
-                let mut p = [0u8; 16];
-                p[..8].copy_from_slice(&e.seg.offset.to_le_bytes());
-                p[8..].copy_from_slice(&e.seg.size.to_le_bytes());
-                p
-            })
-            .collect();
-        let records: Vec<Record<'_>> = entries
-            .iter()
-            .zip(&payloads)
-            .map(|(e, p)| Record {
-                magic: VERSION_PUBLISH_MAGIC,
-                a: e.blob.0,
-                b: e.version,
-                c: e.write.0,
-                payload: p,
-            })
-            .collect();
+        let mut payload = [0u8; 16];
+        payload[..8].copy_from_slice(&seg.offset.to_le_bytes());
+        payload[8..].copy_from_slice(&seg.size.to_le_bytes());
         self.log
-            .append_batch(&records)
+            .append(Record {
+                magic: VERSION_PUBLISH_MAGIC,
+                a: blob.0,
+                b: version,
+                c: write.0,
+                payload: &payload,
+            })
             .map(|_| ())
             .map_err(|e| log_err(self.log.path(), e))
     }
@@ -540,43 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_publishes_replay_like_singles() {
-        let dir = tmp_dir("batch");
-        let blob;
-        {
-            let (wal, registry) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
-            let state = registry.create_blob(geom());
-            blob = state.blob;
-            wal.record_create(state.blob, &state.geom).unwrap();
-            let entries: Vec<PublishEntry> = (1..=4u64)
-                .map(|w| {
-                    let t = state
-                        .request_version(WriteId(w), Segment::new(0, 1024))
-                        .unwrap();
-                    PublishEntry {
-                        blob: state.blob,
-                        version: t.version,
-                        write: WriteId(w),
-                        seg: Segment::new(0, 1024),
-                    }
-                })
-                .collect();
-            // One grant, one WAL batch, one commit marker.
-            wal.record_publish_batch(&entries).unwrap();
-            for e in &entries {
-                state.complete_write(e.version).unwrap();
-            }
-        }
-        let (_, reg) = VersionLog::open(&dir, opts(), DEFAULT_WINDOW).unwrap();
-        let b = reg.get(blob).unwrap();
-        assert_eq!(b.latest(), 4);
-        for v in 1..=4u64 {
-            assert_eq!(b.record(v).unwrap().write, WriteId(v));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn leader_crash_between_grant_and_wal_commit_acks_nothing() {
         // A grant leader assigned versions 1..=3 and appended their
         // BSVRPUB1 batch, but the process died before the batch's commit
@@ -641,21 +564,10 @@ mod tests {
                 .collect();
             assert_eq!(tickets, vec![1, 2, 3, 4]);
             // Only the first two writers got to the publish step.
-            wal.record_publish_batch(&[
-                PublishEntry {
-                    blob,
-                    version: 1,
-                    write: WriteId(1),
-                    seg: Segment::new(0, 1024),
-                },
-                PublishEntry {
-                    blob,
-                    version: 2,
-                    write: WriteId(2),
-                    seg: Segment::new(0, 1024),
-                },
-            ])
-            .unwrap();
+            for v in 1..=2u64 {
+                wal.record_publish(blob, v, WriteId(v), &Segment::new(0, 1024))
+                    .unwrap();
+            }
             state.complete_write(1).unwrap();
             state.complete_write(2).unwrap();
         }

@@ -66,15 +66,21 @@
 //! ## Zero-copy data path
 //!
 //! Pages are immutable once written, so they travel the whole system as
-//! refcounted [`PageBuf`]s: `write` copies the caller's buffer exactly
-//! once (and [`BlobClient::write_buf`] not at all), replica fan-out and
-//! RPC batching share that one allocation, and reads copy each page
-//! exactly once into the result. `read_into` scatter-assembles into a
-//! caller-provided buffer; a single-page aligned
-//! [`BlobClient::read_buf`] is zero-copy end to end.
+//! refcounted [`PageBuf`]s, and replica fan-out and RPC batching share
+//! one allocation. [`BlobClient`] has one entry point per data source or
+//! destination, each with its own page-copy count:
+//!
+//! | method | payload | copies |
+//! |---|---|---|
+//! | [`BlobClient::write`] | borrowed slice | 1 |
+//! | [`BlobClient::write_with`] | shared `PageBuf` (returns stats too) | 0 |
+//! | [`BlobClient::write_unaligned`] | slice at any offset | read-modify-write |
+//! | [`BlobClient::read`] | owned `Vec` | 1 per page |
+//! | [`BlobClient::read_into_with`] | caller's buffer (returns stats too) | 1 per page |
+//! | [`BlobClient::read_buf`] | `PageBuf` | 0 for one aligned page |
 //!
 //! ```
-//! use blobseer::{Ctx, Deployment, DeploymentConfig, PageBuf, Segment};
+//! use blobseer::{Ctx, Deployment, DeploymentConfig, PageBuf, ReadOptions, Segment, WriteOptions};
 //!
 //! let cluster = Deployment::build(DeploymentConfig::functional(4));
 //! let client = cluster.client();
@@ -83,16 +89,19 @@
 //!
 //! // Zero-copy write: the buffer is shared, never duplicated.
 //! let buf = PageBuf::from_vec(vec![5u8; 8192]);
-//! let v = client.write_buf(&mut ctx, blob, 0, buf).unwrap();
+//! let (v, _stats) = client
+//!     .write_with(&mut ctx, blob, 0, buf, &WriteOptions::default())
+//!     .unwrap();
 //!
 //! // Scatter-assembling read into a caller-owned buffer.
+//! let pinned = ReadOptions::at_version(v);
 //! let mut out = vec![0u8; 8192];
-//! client.read_into(&mut ctx, blob, Some(v), Segment::new(0, 8192), &mut out).unwrap();
+//! client.read_into_with(&mut ctx, blob, Segment::new(0, 8192), &mut out, &pinned).unwrap();
 //! assert!(out.iter().all(|&b| b == 5));
 //!
 //! // Single-page aligned read: the returned PageBuf is a refcount
 //! // borrow of the stored page — zero copies.
-//! let (page, _) = client.read_buf(&mut ctx, blob, Some(v), Segment::new(0, 4096)).unwrap();
+//! let (page, _) = client.read_buf(&mut ctx, blob, Segment::new(0, 4096), &pinned).unwrap();
 //! assert!(page.iter().all(|&b| b == 5));
 //! ```
 //!
