@@ -6,9 +6,14 @@
 //! single machine and streams all of them in a single real RPC call"
 //! (§V.A). Both are first-class here:
 //!
-//! * [`RpcClient::fan_out`] issues many calls that all *start* at the
-//!   caller's current virtual time; the caller's clock then advances to
-//!   the latest response arrival (a parallel join).
+//! * [`RpcClient::fan_out`] issues many calls at once through
+//!   [`Transport::call_many`]. On the real wire
+//!   ([`TcpTransport`](crate::TcpTransport)) every request is sent
+//!   before any reply is awaited, so the calls are in flight at the same
+//!   time and their round trips overlap. On the simulator every call
+//!   *starts* at the caller's current virtual time and the caller's
+//!   clock then advances to the latest response arrival: the join is the
+//!   virtual-time max, not the sum.
 //! * When [`AggregationPolicy::Batch`] is active, fan-out calls to the
 //!   same destination are coalesced into a single batch frame — the
 //!   paper's optimization, togglable so the `ablate-agg` bench can
@@ -87,9 +92,13 @@ impl RpcClient {
         parse_response(&resp)
     }
 
-    /// Parallel fan-out: every call starts at `ctx.vt`; afterwards
-    /// `ctx.vt` is the maximum response arrival (the join). Responses are
-    /// returned in input order.
+    /// Parallel fan-out: every call starts at `ctx.vt`, and responses
+    /// are returned in input order. The calls travel as one
+    /// [`Transport::call_many`], so on [`TcpTransport`](crate::TcpTransport)
+    /// every request is on the wire before the first reply is awaited
+    /// and the replies overlap. On the simulator the calls are issued in
+    /// turn at the same start time; either way `ctx.vt` afterwards is the
+    /// latest response arrival (the join is the max, not the sum).
     ///
     /// With [`AggregationPolicy::Batch`], calls sharing a destination
     /// travel in one message and their responses in one message back.
@@ -98,97 +107,53 @@ impl RpcClient {
         ctx: &mut Ctx,
         calls: &[(NodeId, u16, Req)],
     ) -> Vec<Result<Resp, BlobError>> {
-        let start = ctx.vt;
+        // One message per group of call indices: each call alone, or
+        // every call to one destination together, in first-seen order.
+        let batch = self.aggregation == AggregationPolicy::Batch;
+        let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
+        for (i, (to, _, _)) in calls.iter().enumerate() {
+            match groups.iter_mut().find(|(n, _)| batch && n == to) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((*to, vec![i])),
+            }
+        }
         let mut results: Vec<Option<Result<Resp, BlobError>>> =
             (0..calls.len()).map(|_| None).collect();
-        let mut join_vt = start;
-
-        match self.aggregation {
-            AggregationPolicy::PerCall => {
-                for (i, (to, method, req)) in calls.iter().enumerate() {
-                    let frame = Frame::from_msg(*method, req);
-                    match self.transport.call(self.from, *to, start, frame) {
-                        Ok((resp, vt)) => {
-                            join_vt = join_vt.max(vt);
-                            results[i] = Some(parse_response(&resp));
-                        }
-                        Err(e) => results[i] = Some(Err(e)),
+        let mut frames = Vec::with_capacity(groups.len());
+        let mut sent = Vec::with_capacity(groups.len());
+        for (to, idxs) in groups {
+            let frame = match idxs[..] {
+                [i] => Ok(Frame::from_msg(calls[i].1, &calls[i].2)),
+                _ => Frame::batch(
+                    idxs.iter()
+                        .map(|&i| Frame::from_msg(calls[i].1, &calls[i].2))
+                        .collect(),
+                ),
+            };
+            match frame {
+                Ok(frame) => {
+                    frames.push((to, frame));
+                    sent.push(idxs);
+                }
+                Err(e) => {
+                    for i in idxs {
+                        results[i] = Some(Err(BlobError::Codec(e)));
                     }
                 }
             }
-            AggregationPolicy::Batch => {
-                // Group call indices by destination, preserving order.
-                let mut groups: Vec<(NodeId, Vec<usize>)> = Vec::new();
-                for (i, (to, _, _)) in calls.iter().enumerate() {
-                    match groups.iter_mut().find(|(n, _)| n == to) {
-                        Some((_, idxs)) => idxs.push(i),
-                        None => groups.push((*to, vec![i])),
-                    }
-                }
-                for (to, idxs) in groups {
-                    if idxs.len() == 1 {
-                        let i = idxs[0];
-                        let (_, method, req) = &calls[i];
-                        let frame = Frame::from_msg(*method, req);
-                        match self.transport.call(self.from, to, start, frame) {
-                            Ok((resp, vt)) => {
-                                join_vt = join_vt.max(vt);
-                                results[i] = Some(parse_response(&resp));
-                            }
-                            Err(e) => results[i] = Some(Err(e)),
-                        }
-                        continue;
-                    }
-                    let frames: Vec<Frame> = idxs
-                        .iter()
-                        .map(|&i| Frame::from_msg(calls[i].1, &calls[i].2))
-                        .collect();
-                    let batch = match Frame::batch(frames) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            for slot in &idxs {
-                                results[*slot] = Some(Err(BlobError::Codec(e)));
-                            }
-                            continue;
-                        }
-                    };
-                    match self.transport.call(self.from, to, start, batch) {
-                        Ok((resp, vt)) => {
-                            join_vt = join_vt.max(vt);
-                            match resp.unbatch() {
-                                Some(Ok(frames)) if frames.len() == idxs.len() => {
-                                    for (slot, frame) in idxs.iter().zip(frames.iter()) {
-                                        results[*slot] = Some(parse_response(frame));
-                                    }
-                                }
-                                Some(Err(_)) => {
-                                    // A METHOD_BATCH response that does not
-                                    // unbatch may be the server's typed
-                                    // refusal (e.g. the response batch
-                                    // overflowed the frame-body cap):
-                                    // surface that error, not a generic one.
-                                    let err = match parse_response::<()>(&resp) {
-                                        Err(e) => e,
-                                        Ok(()) => BlobError::Internal("malformed batch response"),
-                                    };
-                                    for slot in &idxs {
-                                        results[*slot] = Some(Err(err.clone()));
-                                    }
-                                }
-                                _ => {
-                                    for slot in &idxs {
-                                        results[*slot] = Some(Err(BlobError::Internal(
-                                            "malformed batch response",
-                                        )));
-                                    }
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            for slot in &idxs {
-                                results[*slot] = Some(Err(e.clone()));
-                            }
-                        }
+        }
+        let replies = self.transport.call_many(self.from, ctx.vt, frames);
+        let mut join_vt = ctx.vt;
+        for (idxs, reply) in sent.into_iter().zip(replies) {
+            let reply = reply.map(|(resp, vt)| {
+                join_vt = join_vt.max(vt);
+                resp
+            });
+            match idxs[..] {
+                [i] => results[i] = Some(reply.and_then(|resp| parse_response(&resp))),
+                _ => {
+                    for (&i, r) in idxs.iter().zip(unbatch(reply, idxs.len())) {
+                        results[i] = Some(r);
                     }
                 }
             }
@@ -196,11 +161,33 @@ impl RpcClient {
         ctx.vt = join_vt;
         results
             .into_iter()
-            // lint: allow(panic-on-serving-path) — the scatter loop above fills
-            // every result slot before we get here
+            // lint: allow(panic-on-serving-path) — every call index is in
+            // exactly one group, and every group's slots are filled above
             .map(|r| r.expect("every slot filled"))
             .collect()
     }
+}
+
+/// Split one batch reply into its `n` typed responses.
+fn unbatch<Resp: Wire>(reply: Result<Frame, BlobError>, n: usize) -> Vec<Result<Resp, BlobError>> {
+    let resp = match reply {
+        Ok(resp) => resp,
+        Err(e) => return (0..n).map(|_| Err(e.clone())).collect(),
+    };
+    let err = match resp.unbatch() {
+        Some(Ok(frames)) if frames.len() == n => {
+            return frames.iter().map(parse_response).collect();
+        }
+        // A METHOD_BATCH response that does not unbatch may be the
+        // server's typed refusal (e.g. the response batch overflowed the
+        // frame-body cap): surface that error, not a generic one.
+        Some(Err(_)) => match parse_response::<()>(&resp) {
+            Err(e) => e,
+            Ok(()) => BlobError::Internal("malformed batch response"),
+        },
+        _ => BlobError::Internal("malformed batch response"),
+    };
+    (0..n).map(|_| Err(err.clone())).collect()
 }
 
 #[cfg(test)]

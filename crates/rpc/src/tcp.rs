@@ -23,9 +23,16 @@
 //!   picks the least-loaded live one and registers a per-call
 //!   completion slot under a fresh **correlation id**. One reader
 //!   thread per connection routes responses to their slots, so any
-//!   number of calls share a socket concurrently. A connection error
-//!   fails *every* call in flight on it — typed
-//!   [`BlobError::Unreachable`], never a hang.
+//!   number of calls share a socket concurrently. A call is two phases,
+//!   *start* (register the slot, gather-write the frame) and *finish*
+//!   (park on the slot). [`Transport::call_many`], which every
+//!   [`RpcClient::fan_out`](crate::RpcClient::fan_out) goes through,
+//!   starts every destination's call before it finishes any, so a
+//!   fan-out's round trips are in flight at the same time; a single
+//!   call is the one-element case. A connection error fails *every*
+//!   call in flight on it — typed [`BlobError::Unreachable`], never a
+//!   hang — and a destination that fails fails only its own slot of a
+//!   fan-out.
 //! * **Ablation.** [`ServerMode::ThreadPerConn`] keeps the PR 3 regime
 //!   (accept thread + thread per connection) alive for benchmarks; the
 //!   client side is multiplexed in both modes and both speak the same
@@ -113,7 +120,7 @@ mod mux;
 #[cfg(unix)]
 mod reactor;
 
-use mux::MuxConn;
+use mux::{CallSlot, MuxConn};
 
 /// Envelope length-prefix bytes.
 pub(crate) const ENVELOPE_LEN_BYTES: usize = 4;
@@ -471,10 +478,11 @@ impl TcpTransport {
         pool.push(Arc::clone(&conn));
         Ok(conn)
     }
-}
 
-impl Transport for TcpTransport {
-    fn call(&self, _from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
+    /// Send phase of a call: pick a mux connection to `to`, register a
+    /// correlation slot on it and gather-write the frame. The reply is
+    /// routed to the slot by the connection's reader thread.
+    fn start(&self, to: NodeId, vt: u64, frame: &Frame) -> Result<InFlight, BlobError> {
         let addr = {
             let g = self.nodes.read();
             let slot = g
@@ -492,18 +500,56 @@ impl Transport for TcpTransport {
             let conn = self.mux_conn(to, addr)?;
             match conn.register() {
                 Ok((corr, slot)) => {
-                    let req_wire = conn.send(corr, vt, &frame, gather)?;
-                    let (resp_vt, resp, resp_wire) = slot.wait()?;
-                    self.shared.messages.fetch_add(2, Ordering::Relaxed);
-                    self.shared
-                        .bytes
-                        .fetch_add((req_wire + resp_wire) as u64, Ordering::Relaxed);
-                    return Ok((resp, resp_vt));
+                    let req_wire = conn.send(corr, vt, frame, gather)?;
+                    return Ok(InFlight { slot, req_wire });
                 }
                 Err(e) => last_err = e,
             }
         }
         Err(last_err)
+    }
+
+    /// Wait phase of a call: park on its slot until the reply (or the
+    /// connection's death) resolves it, then count the round trip.
+    fn finish(&self, call: InFlight) -> TransportResult {
+        let (resp_vt, resp, resp_wire) = call.slot.wait()?;
+        self.shared.messages.fetch_add(2, Ordering::Relaxed);
+        self.shared
+            .bytes
+            .fetch_add((call.req_wire + resp_wire) as u64, Ordering::Relaxed);
+        Ok((resp, resp_vt))
+    }
+}
+
+/// A request on the wire, awaiting its reply.
+struct InFlight {
+    slot: Arc<CallSlot>,
+    req_wire: usize,
+}
+
+impl Transport for TcpTransport {
+    fn call(&self, _from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult {
+        self.start(to, vt, &frame)
+            .and_then(|call| self.finish(call))
+    }
+
+    /// Starts every call, then finishes each in input order: the reader
+    /// threads route replies as they arrive, so the round trips overlap.
+    /// A destination that fails to start fails only its own slot.
+    fn call_many(
+        &self,
+        _from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
+        let started: Vec<_> = calls
+            .into_iter()
+            .map(|(to, frame)| self.start(to, vt, &frame))
+            .collect();
+        started
+            .into_iter()
+            .map(|call| call.and_then(|call| self.finish(call)))
+            .collect()
     }
 }
 

@@ -3,9 +3,10 @@
 //! One [`MuxConn`] carries any number of in-flight calls: each call
 //! claims a fresh correlation id, registers a [`CallSlot`], writes its
 //! frame under the send lock (gather-write, serialized so frames never
-//! interleave), and parks on the slot. A dedicated reader thread per
-//! connection decodes responses — in whatever order the server finishes
-//! them — and routes each to its slot by correlation id.
+//! interleave), and parks on the slot; a fan-out sends to every
+//! destination before it parks on the first slot. A dedicated reader
+//! thread per connection decodes responses — in whatever order the
+//! server finishes them — and routes each to its slot by correlation id.
 //!
 //! Failure is total per connection: the first read error, codec error,
 //! stray correlation id, or [`CTRL_SHED`] control frame marks the

@@ -49,6 +49,25 @@ pub trait Transport: Send + Sync {
     /// Deliver `frame` from `from` to `to`, starting at virtual time `vt`;
     /// returns the response frame and its arrival time back at `from`.
     fn call(&self, from: NodeId, to: NodeId, vt: u64, frame: Frame) -> TransportResult;
+
+    /// Deliver one frame to each destination, every call starting at
+    /// virtual time `vt`; results come back in input order. The default
+    /// issues the calls one after another through [`Transport::call`],
+    /// which is exact for transports that model concurrency in virtual
+    /// time (the simulator) or dispatch inline (in-process). A real
+    /// transport overrides it to put every frame on the wire before
+    /// waiting on any reply.
+    fn call_many(
+        &self,
+        from: NodeId,
+        vt: u64,
+        calls: Vec<(NodeId, Frame)>,
+    ) -> Vec<TransportResult> {
+        calls
+            .into_iter()
+            .map(|(to, frame)| self.call(from, to, vt, frame))
+            .collect()
+    }
 }
 
 /// Result of a transport call.

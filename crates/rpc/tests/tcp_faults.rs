@@ -9,7 +9,7 @@
 //! machinery and are covered in `crates/rpc/src/tcp.rs` and the core
 //! `tcp_e2e` suite.
 
-use blobseer_proto::{BlobError, PageBuf};
+use blobseer_proto::{BlobError, NodeId, PageBuf};
 use blobseer_rpc::{
     encode_wire_frame, read_wire_frame, Ctx, Frame, RpcClient, ServerMode, TcpOptions,
     TcpTransport, Transport, CTRL_CORR, CTRL_SHED,
@@ -523,4 +523,139 @@ fn shed_then_backoff_then_admitted_succeeds_under_retry_policy() {
     );
     assert_eq!(result.unwrap(), 7, "retry after shed must succeed");
     assert!(sheds.get() >= 1, "the first attempt was shed");
+}
+
+/// A meeting point for `n` requests: each handler holding one waits until
+/// all `n` have arrived. A fan-out that sends one request at a time and
+/// waits for its reply before the next never gets two of them here at
+/// once, so the wait is bounded and ends in a typed error, not a hang.
+struct Rendezvous {
+    n: usize,
+    arrived: std::sync::Mutex<usize>,
+    all_here: std::sync::Condvar,
+}
+
+struct MeetThenEcho(Arc<Rendezvous>);
+
+impl blobseer_rpc::Service for MeetThenEcho {
+    fn handle(&self, _ctx: &mut blobseer_rpc::ServerCtx, frame: &Frame) -> Frame {
+        blobseer_rpc::respond(frame, |x: u64| {
+            let r = &self.0;
+            let deadline = Instant::now() + Duration::from_secs(3);
+            let mut arrived = r.arrived.lock().unwrap();
+            *arrived += 1;
+            r.all_here.notify_all();
+            while *arrived < r.n {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(BlobError::Internal(
+                        "rendezvous timed out: the fan-out's requests were not in flight together",
+                    ));
+                }
+                arrived = r.all_here.wait_timeout(arrived, left).unwrap().0;
+            }
+            Ok(x)
+        })
+    }
+}
+
+#[test]
+fn fan_out_puts_every_request_in_flight_before_any_reply() {
+    const N: usize = 4;
+    // Enough dispatch threads for every held handler at once, and an
+    // io timeout well past the rendezvous deadline.
+    let t = Arc::new(TcpTransport::with_options(TcpOptions {
+        io_timeout: Some(Duration::from_secs(10)),
+        dispatch_threads: N,
+        ..TcpOptions::default()
+    }));
+    let client = t.add_node();
+    let meet = Arc::new(Rendezvous {
+        n: N,
+        arrived: std::sync::Mutex::new(0),
+        all_here: std::sync::Condvar::new(),
+    });
+    let calls: Vec<(NodeId, u16, u64)> = (0..N as u64)
+        .map(|i| {
+            let s = t.add_node();
+            t.bind(s, Arc::new(MeetThenEcho(Arc::clone(&meet))));
+            (s, 1, i)
+        })
+        .collect();
+    let rpc = RpcClient::new(Arc::clone(&t) as _, client);
+    let before = t.message_count();
+    let resps = rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls);
+    for (i, r) in resps.iter().enumerate() {
+        assert_eq!(r.as_ref().ok(), Some(&(i as u64)), "slot {i}: {r:?}");
+    }
+    assert_eq!(
+        t.message_count() - before,
+        2 * N as u64,
+        "one request and one reply per destination"
+    );
+}
+
+#[test]
+fn fan_out_isolates_a_killed_and_an_unbound_destination() {
+    let t = transport();
+    let client = t.add_node();
+    let bind_echo = || {
+        let s = t.add_node();
+        t.bind(s, Arc::new(Echo));
+        s
+    };
+    let live: Vec<NodeId> = (0..4).map(|_| bind_echo()).collect();
+    let killed = bind_echo();
+    let unbound = t.add_node();
+    let rpc = RpcClient::new(Arc::clone(&t) as _, client);
+    let fan_out = |dests: &[NodeId]| {
+        let calls: Vec<(NodeId, u16, u64)> = (0..).zip(dests).map(|(i, &s)| (s, 1, i)).collect();
+        rpc.fan_out::<u64, u64>(&mut Ctx::start(), &calls)
+    };
+
+    // Pool a connection to every bound node, so the killed node fails on
+    // an established connection rather than at connect.
+    let mut warm = live.clone();
+    warm.push(killed);
+    assert!(fan_out(&warm).iter().all(Result::is_ok));
+    t.kill(killed);
+
+    let dests = [live[0], killed, live[1], unbound, live[2], live[3]];
+    let started = Instant::now();
+    let resps = fan_out(&dests);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "a failed destination must not hang the fan-out"
+    );
+    for (i, (r, &d)) in resps.iter().zip(&dests).enumerate() {
+        if d == killed || d == unbound {
+            assert!(
+                matches!(r, Err(BlobError::Unreachable(_))),
+                "slot {i}: {r:?}"
+            );
+        } else {
+            assert_eq!(r.as_ref().ok(), Some(&(i as u64)), "slot {i}: {r:?}");
+        }
+    }
+    assert_eq!(t.pooled_connections(killed), 0);
+
+    // The survivors' connections were untouched: a later fan-out rides
+    // them, and the server accepts no new connection.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while t.active_connections() > live.len() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(t.active_connections(), live.len());
+    let resps = fan_out(&live);
+    for (i, r) in resps.iter().enumerate() {
+        assert_eq!(r.as_ref().ok(), Some(&(i as u64)), "slot {i}: {r:?}");
+    }
+    for &s in &live {
+        assert_eq!(t.pooled_connections(s), 1);
+    }
+    assert_eq!(
+        t.active_connections(),
+        live.len(),
+        "the survivors' pooled connections are reused, none redialed"
+    );
 }
